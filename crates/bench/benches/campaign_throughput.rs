@@ -29,6 +29,9 @@ use avf_inject::{Campaign, CampaignConfig, StopReason};
 use avf_sim::MachineConfig;
 
 fn main() {
+    // Checked before any campaign runs: a bad value fails in
+    // milliseconds, not after the whole benchmark.
+    let pr = bench_pr();
     let machine = MachineConfig::baseline();
     let stressmark = generate(&Knobs::paper_baseline(), &TargetParams::baseline());
 
@@ -151,7 +154,7 @@ fn main() {
         }
     );
 
-    write_bench_json(&machine, &stressmark.program, injections, instr_budget);
+    write_bench_json(pr, &machine, &stressmark.program, injections, instr_budget);
 }
 
 /// PR number stamped into the perf-trajectory artifact when
@@ -159,7 +162,20 @@ fn main() {
 /// authority in CI (it exports `AVF_BENCH_PR`); this fallback only
 /// serves ad-hoc local runs, so a stale value here cannot break the
 /// pipeline.
-const BENCH_PR_FALLBACK: &str = "10";
+const BENCH_PR_FALLBACK: u64 = 10;
+
+/// The PR number for the artifact: `AVF_BENCH_PR` if set, which must be
+/// an integer (it is written into the JSON unquoted), else the
+/// fallback. Exits non-zero naming the variable on a bad value.
+fn bench_pr() -> u64 {
+    let Ok(value) = std::env::var("AVF_BENCH_PR") else {
+        return BENCH_PR_FALLBACK;
+    };
+    value.trim().parse().unwrap_or_else(|_| {
+        eprintln!("error: AVF_BENCH_PR must be an integer PR number, got `{value}`");
+        std::process::exit(2);
+    })
+}
 
 /// Inj/s of three identical fixed campaigns under `model`, sorted
 /// ascending (the caller reads the median at index 1 and records the
@@ -294,6 +310,7 @@ fn search_rates(machine: &MachineConfig, instr_budget: u64) -> [f64; 3] {
 /// (generations/s on the local evaluator) so stressmark-search
 /// regressions are visible independently of campaign throughput.
 fn write_bench_json(
+    pr: u64,
     machine: &MachineConfig,
     program: &avf_isa::Program,
     injections: u64,
@@ -315,7 +332,6 @@ fn write_bench_json(
     let brokered_median = brokered[1];
     let search_median = search[1];
     let scale = std::env::var("AVF_EXPERIMENT_SCALE").unwrap_or_else(|_| "standard".to_owned());
-    let pr = std::env::var("AVF_BENCH_PR").unwrap_or_else(|_| BENCH_PR_FALLBACK.to_owned());
     let path = std::env::var("AVF_BENCH_JSON").unwrap_or_else(|_| format!("BENCH_pr{pr}.json"));
     // Hand-rolled JSON (the workspace is offline; no serde). One field
     // per line on purpose: the CI delta script extracts fields with

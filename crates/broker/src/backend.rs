@@ -1,13 +1,18 @@
-//! [`BrokeredBackend`]: run a campaign through the broker's worker
-//! fleet over one authenticated connection.
+//! [`BrokeredBackend`] and [`BrokeredEvaluator`]: run a campaign or a
+//! GA search through the broker's worker fleet over one authenticated
+//! connection.
 //!
-//! The backend speaks the ordinary worker protocol — setup, batches,
-//! events, done — wrapped in `MUX` frames on a persistent broker
-//! connection, so [`avf_inject::Campaign::run_on`] needs no changes:
-//! the broker is just another venue. The broker relays each batch into
-//! its own fleet session, which means re-dispatch supervision,
-//! StoreCache reuse, and golden-run cross-checking all come from the
-//! existing [`avf_service::RemoteBackend`] machinery on the far side.
+//! Both speak the ordinary worker protocol — a campaign's setup and
+//! trial batches, a search's genome batches — wrapped in `MUX` frames
+//! on a persistent broker connection, so [`avf_inject::Campaign::run_on`]
+//! and [`avf_ga::optimize`] need no changes: the broker is just another
+//! venue. The broker relays each batch onto its supervised worker fleet
+//! ([`avf_service::Fleet`]), so re-dispatch, StoreCache reuse, genome
+//! affinity and golden-run cross-checking all happen on the far side.
+//! Driver-side, both job kinds drain their acks through the same
+//! index-once drain the fleet uses ([`drain_batch`]), unwrapped from
+//! `MUX` by one reader: a repeated, unassigned or missing index is a
+//! protocol error, not a miscounted batch.
 //!
 //! Brokered campaigns are delegated-golden only (`GoldenMode::Worker`):
 //! shipping a checkpoint store through the broker would buy nothing
@@ -24,20 +29,21 @@ use avf_inject::{
     JobSpec, OpenedJob, StoreSource, Trial, TrialStream, WorkerProvision,
 };
 use avf_service::auth::{read_frame_verified, write_frame_signed, AuthKey, ConnectionAuth};
+use avf_service::fleet::{drain_batch, AckSink, GenomeBatches, JobKind, TrialBatches};
 use avf_service::protocol::{JobSetup, Mux, ServerMessage, SetupMode};
-use avf_service::{DistinctCounter, EvalBatch, EvalContext, EvalReply};
+use avf_service::{EvalBatch, EvalContext, EvalScore, EvalVenue, VenueEvaluator};
 
 use crate::protocol::{Reply, Request};
 
 /// Shared state of one brokered connection: a locked write half (so
 /// MAC sequence order matches byte order) and a locked read half (one
 /// reader at a time — the protocol is strictly request/response per
-/// campaign, so batch drains never overlap).
+/// session, so batch drains never overlap).
 struct Conn {
     addr: String,
     stream: TcpStream,
     reader: Mutex<BufReader<TcpStream>>,
-    auth: Option<Arc<ConnectionAuth>>,
+    auth: Option<ConnectionAuth>,
 }
 
 impl Conn {
@@ -51,22 +57,30 @@ impl Conn {
         w.flush().map_err(BackendError::from)
     }
 
-    fn recv_payload(&self, reader: &mut BufReader<TcpStream>) -> Result<Vec<u8>, BackendError> {
-        read_frame_verified(reader, self.auth.as_ref().map(|a| a.verifier.as_ref()))?.ok_or_else(
-            || BackendError::Disconnected {
-                worker: self.addr.clone(),
-                detail: "broker closed the connection".to_owned(),
-            },
-        )
+    fn recv_payload(
+        &self,
+        reader: &mut BufReader<TcpStream>,
+    ) -> Result<Option<Vec<u8>>, BackendError> {
+        read_frame_verified(reader, self.auth.as_ref().map(|a| a.verifier.as_ref()))
     }
 
-    /// Receives the next MUX-wrapped worker-protocol message for `tag`.
+    fn closed(&self) -> BackendError {
+        BackendError::Disconnected {
+            worker: self.addr.clone(),
+            detail: "broker closed the connection".to_owned(),
+        }
+    }
+
+    /// Receives the next MUX-wrapped frame for `tag`, unwrapped; `None`
+    /// when the broker closed the connection.
     fn recv_mux(
         &self,
         reader: &mut BufReader<TcpStream>,
         tag: u64,
-    ) -> Result<ServerMessage, BackendError> {
-        let payload = self.recv_payload(reader)?;
+    ) -> Result<Option<Vec<u8>>, BackendError> {
+        let Some(payload) = self.recv_payload(reader)? else {
+            return Ok(None);
+        };
         // A session-level Failed frame (bad hello, auth trouble)
         // surfaces as a typed remote error, not a codec mismatch.
         if let Ok(Reply::Failed { error, .. }) = Reply::from_wire(&payload) {
@@ -79,7 +93,47 @@ impl Conn {
                 mux.tag
             )));
         }
-        ServerMessage::from_wire(&mux.inner).map_err(BackendError::from)
+        Ok(Some(mux.inner))
+    }
+}
+
+/// One `MUX`-tagged session on a broker connection: a campaign, or a
+/// whole search. Dropping it sends the end-of-session marker (an empty
+/// `MUX` payload), which releases the broker's scheduler slot for the
+/// next session on this persistent connection. Best-effort — if the
+/// connection is gone the broker notices that instead.
+struct Tagged {
+    conn: Arc<Conn>,
+    tag: u64,
+}
+
+impl Tagged {
+    fn send(&self, inner: Vec<u8>) -> Result<(), BackendError> {
+        self.conn
+            .send_payload(&Mux::wrap(self.tag, inner).to_wire())
+    }
+
+    /// Drains one batch's acks into `sink`, each index exactly once.
+    /// Holds the read half for the whole batch: the broker sends
+    /// nothing else on this session until `Done`.
+    fn drain<K: JobKind>(
+        &self,
+        batch: &[K::Item],
+        sink: &AckSink<K::Ack>,
+    ) -> Result<(), BackendError> {
+        let mut reader = self.conn.reader.lock().expect("reader lock");
+        drain_batch::<K>(
+            || self.conn.recv_mux(&mut reader, self.tag),
+            &format!("broker({})", self.conn.addr),
+            batch,
+            sink,
+        )
+    }
+}
+
+impl Drop for Tagged {
+    fn drop(&mut self) {
+        let _ = self.send(Vec::new());
     }
 }
 
@@ -131,7 +185,7 @@ fn open_conn(
         addr: addr.to_owned(),
         stream,
         reader: Mutex::new(reader),
-        auth: key.map(|k| Arc::new(ConnectionAuth::client(k))),
+        auth: key.map(ConnectionAuth::client),
     };
     conn.send_payload(
         &Request::Hello {
@@ -141,7 +195,9 @@ fn open_conn(
     )?;
     let workers = {
         let mut reader = conn.reader.lock().expect("reader lock");
-        let payload = conn.recv_payload(&mut reader)?;
+        let payload = conn
+            .recv_payload(&mut reader)?
+            .ok_or_else(|| conn.closed())?;
         match Reply::from_wire(&payload)? {
             Reply::HelloAck { workers } => workers as usize,
             Reply::Failed { error, .. } => return Err(BackendError::Remote(error)),
@@ -174,7 +230,10 @@ impl CampaignBackend for BrokeredBackend {
                 "brokered campaigns are delegated-golden only (golden mode `worker`)".to_owned(),
             ));
         };
-        let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
+        let session = Tagged {
+            conn: Arc::clone(&self.conn),
+            tag: self.next_tag.fetch_add(1, Ordering::Relaxed),
+        };
         let setup = JobSetup {
             machine: spec.machine,
             program: spec.program,
@@ -185,11 +244,14 @@ impl CampaignBackend for BrokeredBackend {
                 checkpoint_interval,
             },
         };
-        self.conn
-            .send_payload(&Mux::wrap(tag, setup.to_wire()).to_wire())?;
+        session.send(setup.to_wire())?;
         let ready = {
             let mut reader = self.conn.reader.lock().expect("reader lock");
-            match self.conn.recv_mux(&mut reader, tag)? {
+            let payload = self
+                .conn
+                .recv_mux(&mut reader, session.tag)?
+                .ok_or_else(|| self.conn.closed())?;
+            match ServerMessage::from_wire(&payload)? {
                 ServerMessage::Ready(ready) => ready,
                 ServerMessage::Error(msg) => return Err(BackendError::Remote(msg)),
                 other => {
@@ -209,10 +271,8 @@ impl CampaignBackend for BrokeredBackend {
             .collect();
         Ok(OpenedJob {
             session: Box::new(BrokeredSession {
-                conn: Arc::clone(&self.conn),
-                tag,
-                log: Arc::new(Mutex::new(Vec::new())),
-                batch: 0,
+                session: Arc::new(session),
+                log: Vec::new(),
             }),
             golden: ready.golden,
             checkpoints: usize::try_from(ready.checkpoints).unwrap_or(usize::MAX),
@@ -223,88 +283,44 @@ impl CampaignBackend for BrokeredBackend {
 }
 
 struct BrokeredSession {
-    conn: Arc<Conn>,
-    tag: u64,
-    log: Arc<Mutex<Vec<DispatchRecord>>>,
-    batch: u64,
-}
-
-impl Drop for BrokeredSession {
-    fn drop(&mut self) {
-        // End-of-session marker: an empty MUX payload tells the broker
-        // the tag is done, releasing its scheduler slot for the next
-        // campaign on this (persistent) connection. Best-effort — if
-        // the connection is gone the broker notices that instead.
-        let _ = self
-            .conn
-            .send_payload(&Mux::wrap(self.tag, Vec::new()).to_wire());
-    }
+    /// Shared with each batch's drainer thread, so the end-of-session
+    /// marker goes out only once no drain is in flight.
+    session: Arc<Tagged>,
+    log: Vec<DispatchRecord>,
 }
 
 impl CampaignSession for BrokeredSession {
     fn submit(&mut self, trials: &[Trial]) -> Result<TrialStream, BackendError> {
-        let batch = self.batch;
-        self.batch += 1;
-        self.conn
-            .send_payload(&Mux::wrap(self.tag, encode_trial_batch(trials)).to_wire())?;
-        self.log
-            .lock()
-            .expect("dispatch log lock")
-            .push(DispatchRecord {
-                batch,
-                worker: format!("broker({})", self.conn.addr),
-                trials: trials.len() as u64,
-                redispatched: false,
-            });
+        self.session.send(encode_trial_batch(trials))?;
+        self.log.push(DispatchRecord {
+            batch: self.log.len() as u64,
+            worker: format!("broker({})", self.session.conn.addr),
+            trials: trials.len() as u64,
+            redispatched: false,
+        });
         let (tx, rx) = mpsc::channel();
-        let conn = Arc::clone(&self.conn);
-        let tag = self.tag;
-        let expected = trials.len() as u64;
+        let session = Arc::clone(&self.session);
+        let trials = trials.to_vec();
         let drainer = std::thread::spawn(move || {
-            // Hold the read half for the whole batch: the broker sends
-            // nothing else on this connection until DONE (the campaign
-            // plane is strictly serial per session).
-            let mut reader = conn.reader.lock().expect("reader lock");
-            let mut seen = 0u64;
-            loop {
-                match conn.recv_mux(&mut reader, tag) {
-                    Ok(ServerMessage::Event(ev)) => {
-                        seen += 1;
-                        if tx.send(Ok(ev)).is_err() {
-                            return; // consumer gone
-                        }
-                    }
-                    Ok(ServerMessage::Done { events }) => {
-                        if events != seen || seen != expected {
-                            let _ = tx.send(Err(BackendError::Protocol(format!(
-                                "broker reported {events} events, streamed {seen}, \
-                                 expected {expected}"
-                            ))));
-                        }
-                        return;
-                    }
-                    Ok(ServerMessage::Error(msg)) => {
-                        let _ = tx.send(Err(BackendError::Remote(msg)));
-                        return;
-                    }
-                    Ok(other) => {
-                        let _ = tx.send(Err(BackendError::Protocol(format!(
-                            "broker sent {other:?} mid-batch"
-                        ))));
-                        return;
-                    }
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        return;
-                    }
-                }
+            if let Err(e) = session.drain::<TrialBatches>(&trials, &tx) {
+                let _ = tx.send(Err(e));
             }
         });
         Ok(TrialStream::new(rx, vec![drainer]))
     }
 
     fn dispatch_log(&self) -> Vec<DispatchRecord> {
-        self.log.lock().expect("dispatch log lock").clone()
+        self.log.clone()
+    }
+}
+
+impl EvalVenue for Tagged {
+    fn score(&mut self, batch: EvalBatch) -> Result<Vec<EvalScore>, BackendError> {
+        self.send(batch.to_wire())?;
+        let (tx, rx) = mpsc::channel();
+        self.drain::<GenomeBatches>(&batch.individuals, &tx)?;
+        drop(tx);
+        rx.into_iter().collect()
     }
 }
 
@@ -312,19 +328,12 @@ impl CampaignSession for BrokeredSession {
 /// (wire v7): the evaluation analogue of [`BrokeredBackend`].
 ///
 /// One authenticated connection, one MUX tag for the whole search.
-/// Each generation becomes one `EVAL_BATCH` relayed by the broker into
-/// its own [`avf_service::EvalFleet`] against the worker fleet — so
-/// genome-cache affinity and death re-dispatch come from the same
-/// machinery the direct `--workers` path uses, behind the broker's
-/// admission control and fair scheduling.
-pub struct BrokeredEvaluator {
-    conn: Conn,
-    tag: u64,
-    context: EvalContext,
-    generation: u64,
-    distinct: DistinctCounter,
-    cache_hits: u64,
-}
+/// Each generation becomes one `EVAL_BATCH` that the broker relays
+/// onto its worker fleet as a genome batch — so genome-cache affinity
+/// and death re-dispatch come from the same fleet the direct
+/// `--workers` path uses, behind the broker's admission control and
+/// fair scheduling.
+pub struct BrokeredEvaluator(VenueEvaluator<Tagged>);
 
 impl BrokeredEvaluator {
     /// Connects to the broker at `addr` as `tenant` and binds the
@@ -341,104 +350,124 @@ impl BrokeredEvaluator {
         context: EvalContext,
     ) -> Result<BrokeredEvaluator, BackendError> {
         let (conn, _workers) = open_conn(addr, tenant, key)?;
-        Ok(BrokeredEvaluator {
-            conn,
+        let session = Tagged {
+            conn: Arc::new(conn),
             tag: 1,
-            context,
-            generation: 0,
-            distinct: DistinctCounter::default(),
-            cache_hits: 0,
-        })
+        };
+        Ok(BrokeredEvaluator(VenueEvaluator::new(session, context)))
     }
 
     /// Worker-reported cache hits across the search (observability; not
     /// part of the deterministic evaluation count).
     #[must_use]
     pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    fn exchange(&self, generation: &[Vec<f64>]) -> Result<Vec<(f64, bool)>, BackendError> {
-        let batch = EvalBatch {
-            context: self.context.clone(),
-            generation: self.generation,
-            individuals: generation
-                .iter()
-                .enumerate()
-                .map(|(i, genes)| (i as u64, genes.clone()))
-                .collect(),
-        };
-        self.conn
-            .send_payload(&Mux::wrap(self.tag, batch.to_wire()).to_wire())?;
-        let mut scores: Vec<Option<(f64, bool)>> = vec![None; generation.len()];
-        let mut seen = 0u64;
-        let mut reader = self.conn.reader.lock().expect("reader lock");
-        loop {
-            let payload = self.conn.recv_payload(&mut reader)?;
-            if let Ok(Reply::Failed { error, .. }) = Reply::from_wire(&payload) {
-                return Err(BackendError::Remote(error));
-            }
-            let mux = Mux::from_wire(&payload)?;
-            if mux.tag != self.tag {
-                return Err(BackendError::Protocol(format!(
-                    "broker answered on MUX tag {} while tag {} was active",
-                    mux.tag, self.tag
-                )));
-            }
-            match EvalReply::from_wire(&mux.inner)? {
-                EvalReply::Score(score) => {
-                    let slot = scores.get_mut(score.index as usize).ok_or_else(|| {
-                        BackendError::Protocol(format!(
-                            "broker scored individual {} outside the generation",
-                            score.index
-                        ))
-                    })?;
-                    if slot.replace((score.score, score.cached)).is_some() {
-                        return Err(BackendError::Protocol(format!(
-                            "broker scored individual {} twice",
-                            score.index
-                        )));
-                    }
-                    seen += 1;
-                }
-                EvalReply::Done { results } => {
-                    if results != seen || scores.iter().any(Option::is_none) {
-                        return Err(BackendError::Protocol(format!(
-                            "broker reported {results} results, streamed {seen}, \
-                             expected {}",
-                            scores.len()
-                        )));
-                    }
-                    return Ok(scores.into_iter().map(|s| s.expect("checked")).collect());
-                }
-                EvalReply::Error(msg) => return Err(BackendError::Remote(msg)),
-            }
-        }
-    }
-}
-
-impl Drop for BrokeredEvaluator {
-    fn drop(&mut self) {
-        // End-of-session marker, as for campaigns: an empty MUX payload
-        // releases the broker's scheduler slot.
-        let _ = self
-            .conn
-            .send_payload(&Mux::wrap(self.tag, Vec::new()).to_wire());
+        self.0.cache_hits()
     }
 }
 
 impl FitnessEvaluator for BrokeredEvaluator {
     fn evaluate(&mut self, generation: &[Vec<f64>]) -> Result<Vec<f64>, EvalError> {
-        let scored = self
-            .exchange(generation)
-            .map_err(|e| EvalError(e.to_string()))?;
-        self.generation += 1;
-        self.distinct.record(generation);
-        self.cache_hits += scored.iter().filter(|(_, cached)| *cached).count() as u64;
-        Ok(scored.into_iter().map(|(score, _)| score).collect())
+        self.0.evaluate(generation)
     }
 
     fn evaluations(&self) -> u64 {
-        self.distinct.count()
+        self.0.evaluations()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    use avf_inject::{FaultModel, Outcome, TrialEvent};
+    use avf_service::frame::{read_frame, write_frame};
+    use avf_service::protocol::JobReady;
+    use avf_sim::{GoldenRun, InjectionTarget, MachineConfig};
+
+    /// A fake broker that says hello, answers the setup with a MUX
+    /// `Ready`, then answers the first batch with `replies`.
+    fn scripted_broker(replies: Vec<ServerMessage>) -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake broker");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(&stream);
+            let mut w = BufWriter::new(&stream);
+            let mut send = |payload: Vec<u8>| {
+                write_frame(&mut w, &payload).expect("write");
+                w.flush().expect("flush");
+            };
+            let _hello = read_frame(&mut reader).expect("hello");
+            send(Reply::HelloAck { workers: 1 }.to_wire());
+            let setup = read_frame(&mut reader).expect("setup").expect("setup");
+            let tag = Mux::from_wire(&setup).expect("mux setup").tag;
+            let ready = JobReady {
+                store_hash: 0,
+                golden: GoldenRun {
+                    cycles: 5_000,
+                    committed: 4_000,
+                    digest: 0x1234,
+                },
+                checkpoints: 1,
+                prune: None,
+            };
+            send(Mux::wrap(tag, ServerMessage::Ready(ready).to_wire()).to_wire());
+            let _batch = read_frame(&mut reader).expect("batch");
+            for reply in replies {
+                send(Mux::wrap(tag, reply.to_wire()).to_wire());
+            }
+            // Hold the connection until the driver hangs up.
+            while let Ok(Some(_)) = read_frame(&mut reader) {}
+        });
+        addr
+    }
+
+    fn event(index: u64) -> ServerMessage {
+        ServerMessage::Event(TrialEvent {
+            index,
+            target: InjectionTarget::Rob,
+            outcome: Outcome::Masked,
+        })
+    }
+
+    fn submit_two_trials(addr: &str) -> Vec<Result<TrialEvent, BackendError>> {
+        let backend = BrokeredBackend::connect(addr, "t", None).expect("connect");
+        let opened = backend
+            .open(JobSpec {
+                machine: MachineConfig::baseline(),
+                program: avf_workloads::testkit::register_chain(),
+                instr_budget: 6_000,
+                fault_model: FaultModel::default(),
+                golden: GoldenSpec::Delegated {
+                    checkpoint_interval: 512,
+                },
+                prune: false,
+            })
+            .expect("open");
+        let trials: Vec<Trial> = (0..2)
+            .map(|index| Trial {
+                index,
+                target: InjectionTarget::Rob,
+                cycle: 1 + index,
+                entry: 0,
+                bit: 0,
+            })
+            .collect();
+        let mut session = opened.session;
+        session.submit(&trials).expect("submit").collect()
+    }
+
+    #[test]
+    fn brokered_drain_rejects_a_repeated_trial_index() {
+        // Two events for trial 0 plus a `Done` that counts two: the
+        // event count checks out, but trial 0 would be counted twice
+        // and trial 1 never.
+        let addr = scripted_broker(vec![event(0), event(0), ServerMessage::Done { events: 2 }]);
+        let results = submit_two_trials(&addr);
+        assert!(
+            matches!(results.last(), Some(Err(BackendError::Protocol(_)))),
+            "{results:?}"
+        );
     }
 }

@@ -16,9 +16,11 @@
 //!   bit-identical to what an uninterrupted run would have produced,
 //!   because campaigns are deterministic functions of their spec.
 //! * **Session multiplexing** — one persistent connection carries
-//!   submissions, attachments, and whole interactive campaigns
-//!   (`MUX`-tagged worker-protocol frames relayed into the broker's
-//!   fleet session by [`BrokeredBackend`]).
+//!   submissions, attachments, and whole interactive sessions:
+//!   `MUX`-tagged worker-protocol frames that one relay carries onto
+//!   the broker's supervised worker fleet, whether they are a
+//!   campaign's trial batches ([`BrokeredBackend`]) or a search's
+//!   genome batches ([`BrokeredEvaluator`]).
 //! * **Authenticated framing** — with `--auth-key-file`, every frame
 //!   on both planes (driver↔broker, broker↔worker) carries a keyed
 //!   SipHash tag over a per-direction sequence number; tampered,

@@ -18,13 +18,16 @@
 //!   unfinished spec — campaigns are deterministic, so the re-run
 //!   report is identical to what the lost run would have produced.
 //! * **Interactive path**: `MUX`-wrapped standard worker-protocol
-//!   frames. The broker relays trial batches into its own
-//!   [`RemoteBackend`] fleet session (inheriting its re-dispatch
-//!   supervision), so a driver using [`crate::BrokeredBackend`] gets
-//!   the full fleet behind a single authenticated connection. An
-//!   interactive session occupies one scheduler slot for its lifetime
-//!   and pays a full quantum, so spec campaigns are never starved by
-//!   chatty drivers.
+//!   frames, relayed batch by batch onto the broker's supervised worker
+//!   [`Fleet`] by one relay for both job kinds: a campaign's trial
+//!   batches (through a [`RemoteBackend`] session, which adds the
+//!   golden-run cross-check) or a search's genome batches. Either way
+//!   the driver — [`crate::BrokeredBackend`] or
+//!   [`crate::BrokeredEvaluator`] — gets the full fleet and its
+//!   re-dispatch supervision behind a single authenticated connection.
+//!   An interactive session occupies one scheduler slot for its
+//!   lifetime and pays a full quantum, so spec campaigns are never
+//!   starved by chatty drivers.
 
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
@@ -41,7 +44,7 @@ use avf_inject::{
 use avf_isa::wire::kind;
 use avf_service::auth::{read_frame_verified, write_frame_signed, AuthKey, ConnectionAuth};
 use avf_service::protocol::{ClientMessage, JobReady, Mux, ServerMessage, SetupMode};
-use avf_service::{EvalBatch, EvalFleet, EvalScore, RemoteBackend};
+use avf_service::{EvalBatch, EvalVenue, Fleet, RemoteBackend};
 
 use crate::metrics::BrokerStats;
 use crate::protocol::{frame_kind, CampaignPhase, CampaignSpec, Reply, Request};
@@ -385,6 +388,14 @@ fn notify_waiters(inner: &Inner, id: u64, frame: &[u8]) {
     }
 }
 
+/// A campaign backend on the broker's worker fleet.
+fn remote_backend(opts: &BrokerOptions) -> RemoteBackend {
+    match opts.auth {
+        Some(key) => RemoteBackend::with_auth(opts.workers.clone(), key),
+        None => RemoteBackend::new(opts.workers.clone()),
+    }
+}
+
 /// Executes one durable spec campaign on the worker fleet.
 fn run_campaign(inner: &Arc<Inner>, id: u64) {
     let spec = {
@@ -405,12 +416,8 @@ fn run_campaign(inner: &Arc<Inner>, id: u64) {
         }
         .to_wire(),
     );
-    let fleet = match inner.opts.auth {
-        Some(key) => RemoteBackend::with_auth(inner.opts.workers.clone(), key),
-        None => RemoteBackend::new(inner.opts.workers.clone()),
-    };
     let observed = ObservedBackend {
-        inner: fleet,
+        inner: remote_backend(&inner.opts),
         broker: Arc::clone(inner),
         id,
     };
@@ -640,7 +647,7 @@ fn handle_driver(inner: &Arc<Inner>, stream: TcpStream) {
                 let inner = Arc::clone(inner);
                 let outbox = outbox.clone();
                 std::thread::spawn(move || {
-                    relay_interactive(&inner, &tenant, mux.tag, mux.inner, &rx, &outbox);
+                    relay(&inner, &tenant, mux.tag, mux.inner, &rx, &outbox);
                 });
             }
             _ => match Request::from_wire(&payload) {
@@ -825,9 +832,122 @@ impl Drop for SlotGuard<'_> {
     }
 }
 
-/// Runs one interactive session: admission, slot wait, fleet open,
-/// then batch relay until the driver closes the tag or the connection.
-fn relay_interactive(
+/// The fleet side of one relayed session. The job kind decides only
+/// how the session opens and how a driver frame decodes; the relay
+/// loop around it is shared.
+enum Relayed {
+    /// A campaign: trial batches into a [`RemoteBackend`] session.
+    Trials(Box<dyn CampaignSession>),
+    /// A search: genome batches straight onto the worker [`Fleet`].
+    Genomes(Fleet),
+}
+
+/// Checks a session's opening frame, before it costs a scheduler slot:
+/// a delegated-golden campaign setup, or (wire v7) a search's first
+/// `EVAL_BATCH`, which yields no spec.
+fn campaign_spec(first: &[u8]) -> Result<Option<JobSpec>, &'static str> {
+    if frame_kind(first) == Some(kind::EVAL_BATCH) {
+        return Ok(None);
+    }
+    let Ok(ClientMessage::Setup(setup)) = ClientMessage::from_wire(first) else {
+        return Err("interactive session must open with a setup");
+    };
+    let SetupMode::Delegated {
+        checkpoint_interval,
+    } = setup.mode
+    else {
+        // Shipped mode would make the broker an N-worker store relay;
+        // the brokered path is delegated-golden by design.
+        return Err("brokered sessions are delegated-golden only (golden mode `worker`)");
+    };
+    Ok(Some(JobSpec {
+        machine: setup.machine,
+        program: setup.program,
+        instr_budget: setup.instr_budget,
+        fault_model: setup.fault_model,
+        golden: GoldenSpec::Delegated {
+            checkpoint_interval,
+        },
+        prune: setup.prune,
+    }))
+}
+
+impl Relayed {
+    /// Opens the fleet side. A campaign returns the `JOB_READY` frame to
+    /// answer its setup with; a search's opening frame is its first
+    /// batch, so it returns none.
+    fn open(
+        inner: &Inner,
+        spec: Option<JobSpec>,
+    ) -> Result<(Relayed, Option<Vec<u8>>), BackendError> {
+        let Some(spec) = spec else {
+            let fleet = Fleet::connect(&inner.opts.workers, inner.opts.auth)?;
+            return Ok((Relayed::Genomes(fleet), None));
+        };
+        let opened = remote_backend(&inner.opts).open(spec)?;
+        let ready = JobReady {
+            store_hash: 0, // no store crosses the broker plane
+            golden: opened.golden,
+            checkpoints: opened.checkpoints as u64,
+            prune: opened.prune.as_deref().cloned(),
+        };
+        Ok((
+            Relayed::Trials(opened.session),
+            Some(ServerMessage::Ready(ready).to_wire()),
+        ))
+    }
+
+    /// Decodes one driver batch frame and runs it on the fleet: the
+    /// item count, then every ack as a worker-protocol frame.
+    fn submit(&mut self, frame: &[u8]) -> Result<(u64, AckFrames), String> {
+        match self {
+            Relayed::Trials(session) => {
+                let Ok(ClientMessage::Batch(trials)) = ClientMessage::from_wire(frame) else {
+                    return Err("expected a trial batch frame".to_owned());
+                };
+                let acks: AckFrames = match session.submit(&trials) {
+                    Ok(stream) => {
+                        Box::new(stream.map(|ev| ev.map(|ev| ServerMessage::Event(ev).to_wire())))
+                    }
+                    Err(e) => Box::new(std::iter::once(Err(e))),
+                };
+                Ok((trials.len() as u64, acks))
+            }
+            Relayed::Genomes(fleet) => {
+                let batch =
+                    EvalBatch::from_wire(frame).map_err(|e| format!("bad eval batch: {e}"))?;
+                let items = batch.individuals.len() as u64;
+                let acks: Vec<_> = match fleet.score(batch) {
+                    Ok(scores) => scores.iter().map(|s| Ok(s.to_wire())).collect(),
+                    Err(e) => vec![Err(e)],
+                };
+                Ok((items, Box::new(acks.into_iter())))
+            }
+        }
+    }
+
+    /// Items re-dispatched after worker deaths, over the whole session.
+    fn redispatched(&self) -> u64 {
+        match self {
+            Relayed::Trials(session) => session
+                .dispatch_log()
+                .iter()
+                .filter(|d| d.redispatched)
+                .map(|d| d.trials)
+                .sum(),
+            Relayed::Genomes(fleet) => fleet.redispatched(),
+        }
+    }
+}
+
+/// One batch's acks, as worker-protocol frames, in arrival order.
+type AckFrames = Box<dyn Iterator<Item = Result<Vec<u8>, BackendError>>>;
+
+/// Runs one interactive session — a campaign or a search: admission,
+/// slot wait, fleet open, then one fleet batch per driver frame until
+/// the driver closes the tag or the connection. Either kind pays a full
+/// quantum, so chatty drivers cannot crowd out queued spec campaigns.
+fn relay(
     inner: &Arc<Inner>,
     tenant: &str,
     tag: u64,
@@ -836,34 +956,14 @@ fn relay_interactive(
     outbox: &mpsc::Sender<Vec<u8>>,
 ) {
     BrokerStats::bump(&inner.stats.mux_sessions, 1);
-    // A fitness-evaluation session (wire v7) opens with an EVAL_BATCH
-    // instead of a campaign setup; it shares this path's admission and
-    // slot accounting but relays generations into an EvalFleet.
-    if frame_kind(&first) == Some(kind::EVAL_BATCH) {
-        return relay_eval(inner, tenant, tag, first, rx, outbox);
-    }
-    let setup = match ClientMessage::from_wire(&first) {
-        Ok(ClientMessage::Setup(setup)) => *setup,
-        Ok(_) | Err(_) => {
-            let _ = outbox.send(mux_error(tag, "interactive session must open with a setup"));
+    let spec = match campaign_spec(&first) {
+        Ok(spec) => spec,
+        Err(msg) => {
+            let _ = outbox.send(mux_error(tag, msg));
             return;
         }
     };
-    let SetupMode::Delegated {
-        checkpoint_interval,
-    } = setup.mode
-    else {
-        // Shipped mode would make the broker an N-worker store relay;
-        // the brokered path is delegated-golden by design.
-        let _ = outbox.send(mux_error(
-            tag,
-            "brokered sessions are delegated-golden only (golden mode `worker`)",
-        ));
-        return;
-    };
 
-    // Admission + a run slot: interactive sessions pay a full quantum
-    // so the DRR never lets them crowd out queued spec campaigns.
     let (grant_tx, grant_rx) = mpsc::channel();
     {
         let mut sched = inner.sched.lock().expect("sched lock");
@@ -883,75 +983,54 @@ fn relay_interactive(
     }
     let _slot = SlotGuard(inner);
 
-    let fleet = match inner.opts.auth {
-        Some(key) => RemoteBackend::with_auth(inner.opts.workers.clone(), key),
-        None => RemoteBackend::new(inner.opts.workers.clone()),
-    };
-    let opened = match fleet.open(JobSpec {
-        machine: setup.machine,
-        program: setup.program,
-        instr_budget: setup.instr_budget,
-        fault_model: setup.fault_model,
-        golden: GoldenSpec::Delegated {
-            checkpoint_interval,
-        },
-        prune: setup.prune,
-    }) {
+    let (mut relayed, ready) = match Relayed::open(inner, spec) {
         Ok(opened) => opened,
         Err(e) => {
             let _ = outbox.send(mux_error(tag, &format!("fleet open failed: {e}")));
             return;
         }
     };
-    let ready = JobReady {
-        store_hash: 0, // no store crosses the broker plane
-        golden: opened.golden,
-        checkpoints: opened.checkpoints as u64,
-        prune: opened.prune.as_deref().cloned(),
+    let send = |inner_frame: Vec<u8>| outbox.send(Mux::wrap(tag, inner_frame).to_wire()).is_ok();
+    let mut next = match ready {
+        Some(ready) => {
+            if !send(ready) {
+                return;
+            }
+            None
+        }
+        None => Some(first),
     };
-    let mut session = opened.session;
-    if outbox
-        .send(Mux::wrap(tag, ServerMessage::Ready(ready).to_wire()).to_wire())
-        .is_err()
-    {
-        return;
-    }
 
-    // Batch relay loop: each driver batch becomes one fleet submit,
-    // with RemoteBackend's re-dispatch supervision underneath.
     let mut redis_seen = 0u64;
-    while let Ok(frame) = rx.recv() {
+    loop {
+        let frame = match next.take() {
+            Some(frame) => frame,
+            None => match rx.recv() {
+                Ok(frame) => frame,
+                Err(_) => return,
+            },
+        };
         // The driver's end-of-session marker: release the slot so the
-        // next campaign on this persistent connection can be granted.
+        // next session on this persistent connection can be granted.
         if frame.is_empty() {
             return;
         }
-        let trials = match ClientMessage::from_wire(&frame) {
-            Ok(ClientMessage::Batch(trials)) => trials,
-            Ok(_) | Err(_) => {
-                let _ = outbox.send(mux_error(tag, "expected a trial batch frame"));
+        let (items, acks) = match relayed.submit(&frame) {
+            Ok(submitted) => submitted,
+            Err(msg) => {
+                let _ = outbox.send(mux_error(tag, &msg));
                 return;
             }
         };
-        BrokerStats::bump(&inner.stats.trials_dispatched, trials.len() as u64);
-        let stream = match session.submit(&trials) {
-            Ok(stream) => stream,
-            Err(e) => {
-                let _ = outbox.send(mux_error(tag, &e.to_string()));
-                return;
-            }
-        };
-        let mut events = 0u64;
-        for event in stream {
-            match event {
-                Ok(ev) => {
-                    events += 1;
-                    if outbox
-                        .send(Mux::wrap(tag, ServerMessage::Event(ev).to_wire()).to_wire())
-                        .is_err()
-                    {
+        BrokerStats::bump(&inner.stats.trials_dispatched, items);
+        let mut acked = 0u64;
+        for ack in acks {
+            match ack {
+                Ok(frame) => {
+                    if !send(frame) {
                         return;
                     }
+                    acked += 1;
                 }
                 Err(e) => {
                     let _ = outbox.send(mux_error(tag, &e.to_string()));
@@ -961,132 +1040,13 @@ fn relay_interactive(
         }
         // The dispatch log accumulates across batches; bump only the
         // delta re-dispatched since the last batch.
-        let redispatched: u64 = session
-            .dispatch_log()
-            .iter()
-            .filter(|d| d.redispatched)
-            .map(|d| d.trials)
-            .sum();
+        let redispatched = relayed.redispatched();
         if redispatched > redis_seen {
             BrokerStats::bump(&inner.stats.trials_redispatched, redispatched - redis_seen);
             redis_seen = redispatched;
         }
-        if outbox
-            .send(Mux::wrap(tag, ServerMessage::Done { events }.to_wire()).to_wire())
-            .is_err()
-        {
+        if !send(ServerMessage::Done { events: acked }.to_wire()) {
             return;
         }
-    }
-}
-
-/// Runs one fitness-evaluation session: admission, slot wait, fleet
-/// connect, then one [`EvalFleet`] round per `EVAL_BATCH` until the
-/// driver closes the tag or the connection. Mirrors the interactive
-/// campaign relay — same quantum, same slot guard — so chatty searches
-/// cannot crowd out queued spec campaigns either.
-fn relay_eval(
-    inner: &Arc<Inner>,
-    tenant: &str,
-    tag: u64,
-    first: Vec<u8>,
-    rx: &mpsc::Receiver<Vec<u8>>,
-    outbox: &mpsc::Sender<Vec<u8>>,
-) {
-    let (grant_tx, grant_rx) = mpsc::channel();
-    {
-        let mut sched = inner.sched.lock().expect("sched lock");
-        if let Err(reason) = sched
-            .queue
-            .enqueue(tenant, inner.opts.quantum, Work::Grant(grant_tx))
-        {
-            drop(sched);
-            BrokerStats::bump(&inner.stats.rejected, 1);
-            let _ = outbox.send(mux_error(tag, &format!("admission rejected: {reason}")));
-            return;
-        }
-    }
-    inner.wake.notify_all();
-    if grant_rx.recv().is_err() {
-        return; // scheduler gone — broker shutting down
-    }
-    let _slot = SlotGuard(inner);
-
-    let mut fleet = match EvalFleet::connect(&inner.opts.workers, inner.opts.auth) {
-        Ok(fleet) => fleet,
-        Err(e) => {
-            let _ = outbox.send(mux_error(tag, &format!("fleet open failed: {e}")));
-            return;
-        }
-    };
-    let mut frame = first;
-    let mut redis_seen = 0u64;
-    loop {
-        // The driver's end-of-session marker, as on the campaign plane.
-        if frame.is_empty() {
-            return;
-        }
-        let batch = match EvalBatch::from_wire(&frame) {
-            Ok(batch) => batch,
-            Err(e) => {
-                let _ = outbox.send(mux_error(tag, &format!("bad eval batch: {e}")));
-                return;
-            }
-        };
-        BrokerStats::bump(
-            &inner.stats.trials_dispatched,
-            batch.individuals.len() as u64,
-        );
-        let genomes: Vec<Vec<f64>> = batch.individuals.iter().map(|(_, g)| g.clone()).collect();
-        let scored = match fleet.run(&batch.context, &genomes) {
-            Ok(scored) => scored,
-            Err(e) => {
-                let _ = outbox.send(mux_error(tag, &e.to_string()));
-                return;
-            }
-        };
-        let mut results: Vec<EvalScore> = batch
-            .individuals
-            .iter()
-            .zip(&scored)
-            .map(|((index, _), &(score, cached))| EvalScore {
-                index: *index,
-                score,
-                cached,
-            })
-            .collect();
-        results.sort_by_key(|s| s.index);
-        for score in &results {
-            if outbox
-                .send(Mux::wrap(tag, score.to_wire()).to_wire())
-                .is_err()
-            {
-                return;
-            }
-        }
-        let redispatched = fleet.redispatched();
-        if redispatched > redis_seen {
-            BrokerStats::bump(&inner.stats.trials_redispatched, redispatched - redis_seen);
-            redis_seen = redispatched;
-        }
-        if outbox
-            .send(
-                Mux::wrap(
-                    tag,
-                    ServerMessage::Done {
-                        events: results.len() as u64,
-                    }
-                    .to_wire(),
-                )
-                .to_wire(),
-            )
-            .is_err()
-        {
-            return;
-        }
-        frame = match rx.recv() {
-            Ok(next) => next,
-            Err(_) => return,
-        };
     }
 }

@@ -12,6 +12,7 @@
 //!                         [--instructions N] [--threads N] [--ci-target F]
 //!                         [--batch N] [--checkpoint-interval N]
 //!                         [--workers host:port,host:port,...]
+//!                         [--broker host:port [--tenant NAME]] [--auth-key-file F]
 //!                         [--prune off|on|audit]
 //! avf-stressmark serve    --listen host:port [--threads N] [--auth-key-file F]
 //!                         [--metrics host:port]
@@ -31,9 +32,9 @@ use avf_broker::{Broker, BrokerClient, BrokerOptions, BrokeredBackend, CampaignS
 use avf_ga::GaParams;
 use avf_inject::{CampaignConfig, FaultModel, GoldenMode, LocalBackend, PruneMode};
 use avf_isa::Program;
-use avf_service::{serve, spawn_metrics, AuthKey, RemoteBackend, ServeOptions};
+use avf_service::{serve, spawn_metrics, RemoteBackend, ServeOptions};
 use avf_sim::MachineConfig;
-use avf_stressmark::cli::{bool_flag, value_flag, Args, FlagSpec};
+use avf_stressmark::cli::{bool_flag, value_flag, venue, worker_addrs, Args, FlagSpec};
 use avf_stressmark::{
     fig3, fig4, fig5, fig6, fig7, fig8, fig9, generate_stressmark, injection_vs_ace_on,
     instantaneous_qs_bound, instantaneous_qs_bound_general, raw_sum_core, run_suite, table3,
@@ -147,23 +148,6 @@ fn machine_of(args: &Args) -> Result<MachineConfig, String> {
     }
 }
 
-/// Loads the shared frame-authentication key named by
-/// `--auth-key-file`, if the flag is present.
-fn auth_key_of(args: &Args) -> Result<Option<AuthKey>, String> {
-    match args.flag("auth-key-file") {
-        None => Ok(None),
-        Some(path) => AuthKey::load(std::path::Path::new(path)).map(Some),
-    }
-}
-
-/// The tenant name for broker-facing commands: `--tenant`, falling
-/// back to the login user so ad-hoc runs still get a stable lane.
-fn tenant_of(args: &Args) -> String {
-    args.flag("tenant")
-        .map(str::to_owned)
-        .unwrap_or_else(|| std::env::var("USER").unwrap_or_else(|_| "default".to_owned()))
-}
-
 fn cmd_search(args: &Args) -> Result<(), String> {
     let rates = rates_of(args)?;
     let machine = machine_of(args)?;
@@ -179,66 +163,17 @@ fn cmd_search(args: &Args) -> Result<(), String> {
     config.eval_instructions = args.parse_u64("eval", 120_000).map_err(|e| e.0)?;
     config.final_instructions = args.parse_u64("final", 2_000_000).map_err(|e| e.0)?;
 
-    let auth = auth_key_of(args)?;
-    config.backend = if let Some(broker) = args.flag("broker") {
-        if args.has("workers") {
-            return Err(
-                "--broker and --workers are mutually exclusive; the broker owns the \
-                 worker fleet, pass --workers to the `broker` process instead"
-                    .to_owned(),
-            );
-        }
-        if args.has("threads") {
-            return Err(
-                "--threads selects local worker threads and has no effect with \
-                 --broker; set --threads on each `serve` process instead"
-                    .to_owned(),
-            );
-        }
-        let tenant = tenant_of(args);
-        eprintln!("evaluating generations through broker {broker} as tenant `{tenant}`...");
-        SearchBackend::Broker {
-            addr: broker.to_owned(),
-            tenant,
-            auth,
-        }
-    } else if let Some(list) = args.flag("workers") {
-        if args.has("threads") {
-            // Accepting the flag but letting it do nothing would be
-            // the exact silent-no-effect failure the strict parser
-            // exists to prevent.
-            return Err(
-                "--threads selects local worker threads and has no effect with \
-                 --workers; set --threads on each `serve` process instead"
-                    .to_owned(),
-            );
-        }
-        let addrs: Vec<String> = list
-            .split(',')
-            .map(str::trim)
-            .filter(|a| !a.is_empty())
-            .map(str::to_owned)
-            .collect();
-        if addrs.is_empty() {
-            return Err("--workers expects a comma-separated list of host:port".to_owned());
-        }
-        eprintln!(
+    config.backend = venue(args, "search").map_err(|e| e.0)?;
+    match &config.backend {
+        SearchBackend::Local { .. } => {}
+        SearchBackend::Workers { addrs, .. } => eprintln!(
             "evaluating generations on {} remote worker(s)...",
             addrs.len()
-        );
-        SearchBackend::Workers { addrs, auth }
-    } else {
-        if auth.is_some() {
-            return Err(
-                "--auth-key-file authenticates worker/broker connections and has no \
-                 effect on a local search; pass --workers or --broker"
-                    .to_owned(),
-            );
+        ),
+        SearchBackend::Broker { addr, tenant, .. } => {
+            eprintln!("evaluating generations through broker {addr} as tenant `{tenant}`...")
         }
-        SearchBackend::Local {
-            threads: args.parse_u64("threads", 0).map_err(|e| e.0)? as usize,
-        }
-    };
+    }
 
     eprintln!(
         "searching ({} rates, {} x {} GA)...",
@@ -383,10 +318,14 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
         PruneMode::parse(spelled)
             .ok_or_else(|| format!("unknown prune mode `{spelled}` (off|on|audit)"))?
     };
+    let venue = venue(args, "campaign").map_err(|e| e.0)?;
     let config = CampaignConfig {
         injections: args.parse_u64("injections", 1000).map_err(|e| e.0)?,
         seed: args.parse_u64("seed", 42).map_err(|e| e.0)?,
-        threads: args.parse_u64("threads", 0).map_err(|e| e.0)? as usize,
+        threads: match venue {
+            SearchBackend::Local { threads } => threads,
+            _ => 0,
+        },
         instr_budget: args.parse_u64("instructions", 30_000).map_err(|e| e.0)?,
         ci_target: args.parse_f64_opt("ci-target").map_err(|e| e.0)?,
         batch_size: args.parse_u64("batch", 128).map_err(|e| e.0)?.max(1),
@@ -408,67 +347,33 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
             config.injections, config.fault_model, config.seed
         ),
     }
-    let auth = auth_key_of(args)?;
-    let validation = if let Some(broker) = args.flag("broker") {
-        if args.has("workers") {
-            return Err(
-                "--broker and --workers are mutually exclusive; the broker owns the \
-                 worker fleet, pass --workers to the `broker` process instead"
-                    .to_owned(),
-            );
+    let validation = match venue {
+        SearchBackend::Local { threads } => {
+            injection_vs_ace_on(&machine, &config, &LocalBackend::new(threads))
         }
-        if args.has("threads") {
-            return Err(
-                "--threads selects local worker threads and has no effect with \
-                 --broker; set --threads on each `serve` process instead"
-                    .to_owned(),
+        SearchBackend::Workers { addrs, auth } => {
+            eprintln!(
+                "dispatching campaigns to {} remote worker(s)...",
+                addrs.len()
             );
+            let backend = match auth {
+                Some(key) => RemoteBackend::with_auth(addrs, key),
+                None => RemoteBackend::new(addrs),
+            };
+            injection_vs_ace_on(&machine, &config, &backend)
         }
-        if golden_mode != GoldenMode::Worker {
-            return Err(
-                "--broker requires --golden worker: the broker delegates golden \
-                 runs to its fleet"
-                    .to_owned(),
-            );
-        }
-        let tenant = tenant_of(args);
-        eprintln!("dispatching campaigns through broker {broker} as tenant `{tenant}`...");
-        let backend = BrokeredBackend::connect(broker, &tenant, auth)
-            .map_err(|e| format!("cannot reach broker `{broker}`: {e}"))?;
-        injection_vs_ace_on(&machine, &config, &backend)
-    } else {
-        match args.flag("workers") {
-            None => injection_vs_ace_on(&machine, &config, &LocalBackend::new(config.threads)),
-            Some(list) => {
-                if args.has("threads") {
-                    // Accepting the flag but letting it do nothing would be
-                    // the exact silent-no-effect failure the strict parser
-                    // exists to prevent.
-                    return Err(
-                        "--threads selects local worker threads and has no effect with \
-                     --workers; set --threads on each `serve` process instead"
-                            .to_owned(),
-                    );
-                }
-                let addrs: Vec<String> = list
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|a| !a.is_empty())
-                    .map(str::to_owned)
-                    .collect();
-                if addrs.is_empty() {
-                    return Err("--workers expects a comma-separated list of host:port".to_owned());
-                }
-                eprintln!(
-                    "dispatching campaigns to {} remote worker(s)...",
-                    addrs.len()
+        SearchBackend::Broker { addr, tenant, auth } => {
+            if golden_mode != GoldenMode::Worker {
+                return Err(
+                    "--broker requires --golden worker: the broker delegates golden \
+                     runs to its fleet"
+                        .to_owned(),
                 );
-                let backend = match auth {
-                    Some(key) => RemoteBackend::with_auth(addrs, key),
-                    None => RemoteBackend::new(addrs),
-                };
-                injection_vs_ace_on(&machine, &config, &backend)
             }
+            eprintln!("dispatching campaigns through broker {addr} as tenant `{tenant}`...");
+            let backend = BrokeredBackend::connect(&addr, &tenant, auth)
+                .map_err(|e| format!("cannot reach broker `{addr}`: {e}"))?;
+            injection_vs_ace_on(&machine, &config, &backend)
         }
     }
     .map_err(|e| format!("campaign backend failed: {e}"))?;
@@ -495,7 +400,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
              its batch {n} (resilience testing only)"
         );
     }
-    let auth = auth_key_of(args)?;
+    let auth = args.auth_key().map_err(|e| e.0)?;
     if auth.is_some() {
         eprintln!("serve: frame authentication required on every connection");
     }
@@ -534,21 +439,15 @@ fn cmd_broker(args: &Args) -> Result<(), String> {
     let listen = args
         .flag("listen")
         .ok_or("broker requires --listen host:port")?;
-    let workers: Vec<String> = args
-        .flag("workers")
-        .ok_or("broker requires --workers host:port,host:port,...")?
-        .split(',')
-        .map(str::trim)
-        .filter(|a| !a.is_empty())
-        .map(str::to_owned)
-        .collect();
-    if workers.is_empty() {
-        return Err("--workers expects a comma-separated list of host:port".to_owned());
-    }
+    let workers = worker_addrs(
+        args.flag("workers")
+            .ok_or("broker requires --workers host:port,host:port,...")?,
+    )
+    .map_err(|e| e.0)?;
     let defaults = BrokerOptions::default();
     let opts = BrokerOptions {
         workers,
-        auth: auth_key_of(args)?,
+        auth: args.auth_key().map_err(|e| e.0)?,
         max_running: args
             .parse_u64("max-running", defaults.max_running as u64)
             .map_err(|e| e.0)? as usize,
@@ -650,8 +549,8 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         .flag("broker")
         .ok_or("submit requires --broker host:port")?;
     let spec = spec_of(args)?;
-    let tenant = tenant_of(args);
-    let mut client = BrokerClient::connect(broker, &tenant, auth_key_of(args)?)
+    let tenant = args.tenant();
+    let mut client = BrokerClient::connect(broker, &tenant, args.auth_key().map_err(|e| e.0)?)
         .map_err(|e| format!("cannot reach broker `{broker}`: {e}"))?;
     let id = client.submit(&spec).map_err(|e| match e {
         SubmitError::Rejected { reason, detail } => format!("rejected ({reason}): {detail}"),
@@ -675,8 +574,8 @@ fn cmd_attach(args: &Args) -> Result<(), String> {
     if id == u64::MAX {
         return Err("attach requires --id N (as printed by `submit --detach`)".to_owned());
     }
-    let tenant = tenant_of(args);
-    let mut client = BrokerClient::connect(broker, &tenant, auth_key_of(args)?)
+    let tenant = args.tenant();
+    let mut client = BrokerClient::connect(broker, &tenant, args.auth_key().map_err(|e| e.0)?)
         .map_err(|e| format!("cannot reach broker `{broker}`: {e}"))?;
     client
         .attach(id)
@@ -849,5 +748,24 @@ mod tests {
         .unwrap();
         let err = cmd_search(&args).unwrap_err();
         assert!(err.contains("mutually exclusive"), "{err}");
+    }
+
+    #[test]
+    fn validate_auth_key_without_a_remote_venue_is_a_hard_error() {
+        // A key that would authenticate nothing must not be silently
+        // ignored by a local campaign, just as it is not by a search.
+        let key = std::env::temp_dir().join(format!("avf-cli-{}.key", std::process::id()));
+        std::fs::write(&key, "00112233445566778899aabbccddeeff").unwrap();
+        let args = Args::parse(
+            &argv(&["--auth-key-file", key.to_str().unwrap()]),
+            VALIDATE_FLAGS,
+        )
+        .unwrap();
+        let err = cmd_validate(&args).unwrap_err();
+        let _ = std::fs::remove_file(&key);
+        assert!(
+            err.contains("--auth-key-file authenticates worker/broker connections"),
+            "{err}"
+        );
     }
 }

@@ -6,8 +6,16 @@
 //! measurement tool. This parser is spec-driven: every command declares
 //! its flags (and whether each takes a value), unknown flags are hard
 //! errors, and boolean flags never swallow the following token.
+//!
+//! [`venue`] is the one place the commands that can run remotely
+//! (`search`, `validate`) decide *where* they run, so a flag that would
+//! have no effect on the chosen venue is an error for both alike.
 
 use std::fmt;
+
+use avf_service::AuthKey;
+
+use crate::SearchBackend;
 
 /// One flag a command accepts.
 #[derive(Debug, Clone, Copy)]
@@ -153,6 +161,109 @@ impl Args {
                 ))),
         }
     }
+}
+
+impl Args {
+    /// Loads the shared frame-authentication key named by
+    /// `--auth-key-file`, if the flag is present.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] when the key file cannot be loaded.
+    pub fn auth_key(&self) -> Result<Option<AuthKey>, ParseError> {
+        match self.flag("auth-key-file") {
+            None => Ok(None),
+            Some(path) => AuthKey::load(std::path::Path::new(path))
+                .map(Some)
+                .map_err(ParseError),
+        }
+    }
+
+    /// The tenant name for broker-facing commands: `--tenant`, falling
+    /// back to the login user so ad-hoc runs still get a stable lane.
+    #[must_use]
+    pub fn tenant(&self) -> String {
+        self.flag("tenant")
+            .map(str::to_owned)
+            .unwrap_or_else(|| std::env::var("USER").unwrap_or_else(|_| "default".to_owned()))
+    }
+}
+
+/// Parses a comma-separated `host:port` list given to `--workers`.
+///
+/// # Errors
+///
+/// Returns a [`ParseError`] when the list names no address.
+pub fn worker_addrs(list: &str) -> Result<Vec<String>, ParseError> {
+    let addrs: Vec<String> = list
+        .split(',')
+        .map(str::trim)
+        .filter(|a| !a.is_empty())
+        .map(str::to_owned)
+        .collect();
+    if addrs.is_empty() {
+        return Err(ParseError(
+            "--workers expects a comma-separated list of host:port".to_owned(),
+        ));
+    }
+    Ok(addrs)
+}
+
+/// Picks where a command runs — in-process threads, `serve` workers, or
+/// a broker — from `--threads`, `--workers`, `--broker`, `--tenant` and
+/// `--auth-key-file`. Flags the chosen venue would silently ignore are
+/// errors; `local_work` names what a local run does (e.g. "search"),
+/// for the error message.
+///
+/// # Errors
+///
+/// Returns a [`ParseError`] for conflicting flags, an empty worker
+/// list, a bad `--threads` value, or an unloadable key file.
+pub fn venue(args: &Args, local_work: &str) -> Result<SearchBackend, ParseError> {
+    let auth = args.auth_key()?;
+    let no_threads_with = |remote: &str| {
+        if !args.has("threads") {
+            return Ok(());
+        }
+        // Accepting the flag but letting it do nothing would be the
+        // exact silent-no-effect failure the strict parser exists
+        // to prevent.
+        Err(ParseError(format!(
+            "--threads selects local worker threads and has no effect with \
+             {remote}; set --threads on each `serve` process instead"
+        )))
+    };
+    if let Some(addr) = args.flag("broker") {
+        if args.has("workers") {
+            return Err(ParseError(
+                "--broker and --workers are mutually exclusive; the broker owns the \
+                 worker fleet, pass --workers to the `broker` process instead"
+                    .to_owned(),
+            ));
+        }
+        no_threads_with("--broker")?;
+        return Ok(SearchBackend::Broker {
+            addr: addr.to_owned(),
+            tenant: args.tenant(),
+            auth,
+        });
+    }
+    if let Some(list) = args.flag("workers") {
+        no_threads_with("--workers")?;
+        return Ok(SearchBackend::Workers {
+            addrs: worker_addrs(list)?,
+            auth,
+        });
+    }
+    if auth.is_some() {
+        return Err(ParseError(format!(
+            "--auth-key-file authenticates worker/broker connections and has no \
+             effect on a local {local_work}; pass --workers or --broker"
+        )));
+    }
+    Ok(SearchBackend::Local {
+        threads: args.parse_u64("threads", 0)? as usize,
+    })
 }
 
 /// The closest flag name within an edit distance a typo plausibly

@@ -20,7 +20,9 @@ use avf_sim::{simulate, MachineConfig, SimResult};
 
 pub use avf_service::target_params;
 
-/// Where fitness evaluation runs.
+/// Where fitness evaluation runs. The CLI picks it for both remote-able
+/// commands ([`crate::cli::venue`]); `validate` maps the same choice
+/// onto a campaign backend.
 #[derive(Debug, Clone)]
 pub enum SearchBackend {
     /// In-process evaluation on a persistent memoizing thread pool

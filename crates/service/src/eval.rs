@@ -19,23 +19,24 @@
 //! worker memoize by genome: elite individuals re-scored across
 //! generations are [`EvalCache`] hits, not simulations.
 //!
-//! Driver-side, [`EvalFleet`] fans a generation out across workers with
-//! genome-keyed affinity (so a re-scored elite lands on the worker whose
-//! cache holds it) and inherits the campaign supervisor's re-dispatch
-//! semantics: individuals unacknowledged when a worker dies are re-sent
-//! to survivors, and the search result is bit-identical to a fault-free
-//! run because every score is a deterministic function of
-//! (context, genome). [`RemoteEvaluator`] adapts the fleet to the GA's
-//! [`FitnessEvaluator`] trait and counts *distinct* genomes evaluated —
-//! the same number [`avf_ga::LocalEvaluator`] reports — so
-//! `GaResult::evaluations` agrees across local, remote, and brokered
-//! venues regardless of worker deaths or cache evictions.
+//! Driver-side, genome batches are one of the two job kinds of the
+//! supervised [`Fleet`] (see [`crate::fleet`]): genome-keyed affinity
+//! sharding sends a re-scored elite to the worker whose cache holds it,
+//! and individuals unacknowledged when a worker dies are re-sent to
+//! survivors. The search result is bit-identical to a fault-free run
+//! because every score is a deterministic function of (context,
+//! genome). [`VenueEvaluator`] adapts any [`EvalVenue`] — the fleet, or
+//! a broker connection — to the GA's [`FitnessEvaluator`] trait and
+//! counts *distinct* genomes evaluated, the same number
+//! [`avf_ga::LocalEvaluator`] reports, so `GaResult::evaluations` agrees
+//! across local, remote, and brokered venues regardless of worker
+//! deaths or cache evictions.
 
 use std::collections::{HashMap, HashSet};
 use std::io::BufReader;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
 use avf_ace::{FaultRates, Fitness, FitnessScope, Structure};
 use avf_codegen::{generate, Knobs, TargetParams};
@@ -44,9 +45,10 @@ use avf_inject::BackendError;
 use avf_isa::wire::{content_hash64, kind, WireError, WireReader, WireWriter};
 use avf_sim::{simulate, MachineConfig};
 
-use crate::auth::{read_frame_verified, write_frame_signed, AuthKey, AuthVerifier, ConnectionAuth};
+use crate::auth::{read_frame_verified, AuthKey, AuthVerifier};
+use crate::fleet::{Fleet, GenomeBatches};
 use crate::frame::FrameBatcher;
-use crate::protocol::{remote_error, ServerMessage, HASH_DOMAIN_EVAL};
+use crate::protocol::{ServerMessage, HASH_DOMAIN_EVAL};
 use crate::server::ServeOptions;
 
 /// Derives code-generator target parameters from a machine configuration.
@@ -554,14 +556,14 @@ pub(crate) fn handle_eval_session(
 /// the count is invariant under worker deaths, re-dispatch duplicates,
 /// and worker-cache evictions.
 #[derive(Debug, Default)]
-pub struct DistinctCounter {
+pub(crate) struct DistinctCounter {
     seen: HashSet<Vec<u64>>,
     count: u64,
 }
 
 impl DistinctCounter {
     /// Records one generation.
-    pub fn record(&mut self, generation: &[Vec<f64>]) {
+    pub(crate) fn record(&mut self, generation: &[Vec<f64>]) {
         for genes in generation {
             if self.seen.insert(genome_bits(genes)) {
                 self.count += 1;
@@ -571,302 +573,105 @@ impl DistinctCounter {
 
     /// Distinct genomes recorded so far.
     #[must_use]
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 }
 
-struct FleetWorker {
-    addr: String,
-    /// `None` once the connection died; the slot stays so genome→worker
-    /// affinity of the survivors is undisturbed.
-    stream: Option<TcpStream>,
-    auth: Option<Arc<ConnectionAuth>>,
+/// A venue that scores whole generations: the direct worker
+/// [`Fleet`], or a broker relaying to one.
+pub trait EvalVenue {
+    /// Scores one generation, returning one ack per individual (in any
+    /// order; each index exactly once).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`BackendError`] when the venue cannot finish the
+    /// generation.
+    fn score(&mut self, batch: EvalBatch) -> Result<Vec<EvalScore>, BackendError>;
 }
 
-enum EvalShardFate {
-    /// All scores streamed and the DONE count checked out.
-    Clean(Vec<EvalScore>),
-    /// The connection died mid-generation; `scored` arrived first.
-    Dead {
-        scored: Vec<EvalScore>,
-        error: BackendError,
-    },
-    /// Protocol violation or worker-reported error: fail the search.
-    Fatal(BackendError),
-}
-
-fn drain_eval_shard(
-    stream: TcpStream,
-    addr: String,
-    expected: Vec<u64>,
-    auth: Option<Arc<ConnectionAuth>>,
-) -> EvalShardFate {
-    let mut outstanding: HashSet<u64> = expected.into_iter().collect();
-    let mut reader = BufReader::new(&stream);
-    let verifier = auth.as_ref().map(|a| a.verifier.as_ref());
-    let mut scored: Vec<EvalScore> = Vec::with_capacity(outstanding.len());
-    loop {
-        let payload = match read_frame_verified(&mut reader, verifier) {
-            Ok(Some(p)) => p,
-            Ok(None) => {
-                return EvalShardFate::Dead {
-                    scored,
-                    error: BackendError::Disconnected {
-                        worker: addr,
-                        detail: "connection closed mid-generation".to_owned(),
-                    },
-                }
-            }
-            Err(BackendError::Io(detail)) => {
-                return EvalShardFate::Dead {
-                    scored,
-                    error: BackendError::Disconnected {
-                        worker: addr,
-                        detail,
-                    },
-                }
-            }
-            Err(e) => return EvalShardFate::Fatal(e),
+impl EvalVenue for Fleet {
+    fn score(&mut self, batch: EvalBatch) -> Result<Vec<EvalScore>, BackendError> {
+        let (tx, rx) = mpsc::channel();
+        let job = GenomeBatches {
+            context: batch.context,
+            generation: batch.generation,
         };
-        match EvalReply::from_wire(&payload) {
-            Ok(EvalReply::Score(score)) => {
-                if !outstanding.remove(&score.index) {
-                    return EvalShardFate::Fatal(BackendError::Protocol(format!(
-                        "worker {addr} scored individual {} it was not assigned (or twice)",
-                        score.index
-                    )));
-                }
-                scored.push(score);
-            }
-            Ok(EvalReply::Done { results }) => {
-                if !outstanding.is_empty() {
-                    return EvalShardFate::Fatal(BackendError::Protocol(format!(
-                        "worker {addr} finished a generation with {} individuals unscored",
-                        outstanding.len()
-                    )));
-                }
-                if results != scored.len() as u64 {
-                    return EvalShardFate::Fatal(BackendError::Protocol(format!(
-                        "worker {addr} announced {results} results but streamed {}",
-                        scored.len()
-                    )));
-                }
-                return EvalShardFate::Clean(scored);
-            }
-            Ok(EvalReply::Error(msg)) => return EvalShardFate::Fatal(remote_error(msg)),
-            Err(e) => return EvalShardFate::Fatal(BackendError::Wire(e)),
-        }
+        self.run(&job, batch.individuals, &tx)?;
+        drop(tx);
+        rx.into_iter().collect()
     }
 }
 
-/// A fleet of persistent evaluation-worker connections with the campaign
-/// supervisor's fault tolerance: shards are re-dispatched to survivors
-/// when a worker dies, and only an all-dead fleet (or a protocol
-/// violation) fails the search.
-pub struct EvalFleet {
-    workers: Vec<FleetWorker>,
-    generation: u64,
-    last_error: Option<BackendError>,
-    redispatched: u64,
-}
-
-impl EvalFleet {
-    /// Connects to every worker up front; any refused connection fails
-    /// the whole fleet (starting a search against a half-broken fleet is
-    /// a configuration error, not a runtime fault).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BackendError`] if `addrs` is empty or any connection
-    /// fails.
-    pub fn connect(addrs: &[String], key: Option<AuthKey>) -> Result<EvalFleet, BackendError> {
-        if addrs.is_empty() {
-            return Err(BackendError::Protocol(
-                "an evaluation fleet needs at least one worker address".to_owned(),
-            ));
-        }
-        let mut workers = Vec::with_capacity(addrs.len());
-        for addr in addrs {
-            let stream = TcpStream::connect(addr)
-                .map_err(|e| BackendError::Io(format!("connect {addr}: {e}")))?;
-            let _ = stream.set_nodelay(true);
-            workers.push(FleetWorker {
-                addr: addr.clone(),
-                stream: Some(stream),
-                auth: key.map(|k| Arc::new(ConnectionAuth::client(k))),
-            });
-        }
-        Ok(EvalFleet {
-            workers,
-            generation: 0,
-            last_error: None,
-            redispatched: 0,
-        })
-    }
-
-    /// Individuals re-dispatched to survivors after worker deaths, for
-    /// observability (never part of the evaluation count).
-    #[must_use]
-    pub fn redispatched(&self) -> u64 {
-        self.redispatched
-    }
-
-    /// Number of worker slots (live or dead) — the modulus of the
-    /// genome→worker affinity mapping, fixed for the fleet's lifetime.
-    #[must_use]
-    pub fn fleet_size(&self) -> usize {
-        self.workers.len()
-    }
-
-    fn live_slots(&self) -> Vec<usize> {
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.stream.is_some())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    fn kill(&mut self, slot: usize, error: BackendError) {
-        eprintln!("search: worker {} died: {error}", self.workers[slot].addr);
-        self.workers[slot].stream = None;
-        self.last_error = Some(error);
-    }
-
-    fn all_dead(&mut self) -> BackendError {
-        self.last_error
-            .take()
-            .unwrap_or_else(|| BackendError::Disconnected {
-                worker: "all".to_owned(),
-                detail: "every evaluation worker died".to_owned(),
-            })
-    }
-
-    /// Scores one generation across the fleet, returning
-    /// `(score, cached)` per individual in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BackendError`] when every worker has died or a worker
-    /// violates the protocol.
-    pub fn run(
-        &mut self,
-        context: &EvalContext,
-        generation: &[Vec<f64>],
-    ) -> Result<Vec<(f64, bool)>, BackendError> {
-        let fleet = self.workers.len();
-        let mut slots: Vec<Option<(f64, bool)>> = vec![None; generation.len()];
-        let mut pending: Vec<usize> = (0..generation.len()).collect();
-        let mut round = 0u32;
-        while !pending.is_empty() {
-            let live = self.live_slots();
-            if live.is_empty() {
-                return Err(self.all_dead());
-            }
-            if round > 0 {
-                eprintln!(
-                    "search: re-dispatching {} unacknowledged individuals to {} survivors",
-                    pending.len(),
-                    live.len()
-                );
-                self.redispatched += pending.len() as u64;
-            }
-            // Shard by genome affinity: an elite re-scored next
-            // generation routes to the worker whose cache holds it. The
-            // fallback for a dead preferred slot is deterministic in the
-            // death pattern, but scores are venue-independent, so the
-            // search result never depends on who computed what.
-            let mut shards: Vec<Vec<usize>> = vec![Vec::new(); fleet];
-            for &i in &pending {
-                let key = genome_key(&generation[i]);
-                let preferred = (key % fleet as u64) as usize;
-                let worker = if self.workers[preferred].stream.is_some() {
-                    preferred
-                } else {
-                    live[(key % live.len() as u64) as usize]
-                };
-                shards[worker].push(i);
-            }
-            let mut drains = Vec::new();
-            for (slot, shard) in shards.iter().enumerate() {
-                if shard.is_empty() {
-                    continue;
-                }
-                let batch = EvalBatch {
-                    context: context.clone(),
-                    generation: self.generation,
-                    individuals: shard
-                        .iter()
-                        .map(|&i| (i as u64, generation[i].clone()))
-                        .collect(),
-                };
-                let payload = batch.to_wire();
-                let worker = &self.workers[slot];
-                let signer = worker.auth.as_ref().map(|a| a.signer.as_ref());
-                let write = {
-                    let mut stream = worker.stream.as_ref().expect("sharded to a live worker");
-                    write_frame_signed(&mut stream, &payload, signer)
-                };
-                let cloned = write.and_then(|()| {
-                    self.workers[slot]
-                        .stream
-                        .as_ref()
-                        .expect("sharded to a live worker")
-                        .try_clone()
-                        .map_err(|e| BackendError::Io(e.to_string()))
-                });
-                match cloned {
-                    Ok(stream) => {
-                        let addr = self.workers[slot].addr.clone();
-                        let auth = self.workers[slot].auth.clone();
-                        let expected: Vec<u64> = shard.iter().map(|&i| i as u64).collect();
-                        drains.push((
-                            slot,
-                            std::thread::spawn(move || {
-                                drain_eval_shard(stream, addr, expected, auth)
-                            }),
-                        ));
-                    }
-                    Err(e) => self.kill(slot, e), // shard stays pending; next round
-                }
-            }
-            for (slot, handle) in drains {
-                match handle.join().expect("eval drain thread panicked") {
-                    EvalShardFate::Clean(scored) => {
-                        for s in scored {
-                            slots[s.index as usize] = Some((s.score, s.cached));
-                        }
-                    }
-                    EvalShardFate::Dead { scored, error } => {
-                        // Partial scores are acknowledged work — keep
-                        // them; only the unacknowledged tail re-runs.
-                        for s in scored {
-                            slots[s.index as usize] = Some((s.score, s.cached));
-                        }
-                        self.kill(slot, error);
-                    }
-                    EvalShardFate::Fatal(e) => return Err(e),
-                }
-            }
-            pending.retain(|&i| slots[i].is_none());
-            round += 1;
-        }
-        self.generation += 1;
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("every individual scored"))
-            .collect())
-    }
-}
-
-/// Adapts an [`EvalFleet`] to the GA's [`FitnessEvaluator`] trait.
-pub struct RemoteEvaluator {
-    fleet: EvalFleet,
+/// Adapts any [`EvalVenue`] to the GA's [`FitnessEvaluator`] trait:
+/// numbers the generations, counts *distinct* genomes (the number
+/// [`avf_ga::LocalEvaluator`] reports, invariant under worker deaths
+/// and cache evictions), and tallies worker cache hits.
+pub struct VenueEvaluator<V> {
+    venue: V,
     context: EvalContext,
+    generation: u64,
     distinct: DistinctCounter,
     cache_hits: u64,
 }
+
+impl<V: EvalVenue> VenueEvaluator<V> {
+    /// Binds `venue` to an evaluation context.
+    pub fn new(venue: V, context: EvalContext) -> VenueEvaluator<V> {
+        VenueEvaluator {
+            venue,
+            context,
+            generation: 0,
+            distinct: DistinctCounter::default(),
+            cache_hits: 0,
+        }
+    }
+
+    /// Worker-reported cache hits across the search (observability; not
+    /// part of the deterministic evaluation count).
+    #[must_use]
+    pub fn cache_hits(&self) -> u64 {
+        self.cache_hits
+    }
+}
+
+impl<V: EvalVenue> FitnessEvaluator for VenueEvaluator<V> {
+    fn evaluate(&mut self, generation: &[Vec<f64>]) -> Result<Vec<f64>, EvalError> {
+        let batch = EvalBatch {
+            context: self.context.clone(),
+            generation: self.generation,
+            individuals: (0u64..).zip(generation.iter().cloned()).collect(),
+        };
+        let acks = self
+            .venue
+            .score(batch)
+            .map_err(|e| EvalError(e.to_string()))?;
+        let mut scores = vec![None; generation.len()];
+        let mut hits = 0;
+        for ack in acks {
+            if let Some(slot) = scores.get_mut(ack.index as usize) {
+                *slot = Some(ack.score);
+            }
+            hits += u64::from(ack.cached);
+        }
+        let scores = scores
+            .into_iter()
+            .collect::<Option<Vec<f64>>>()
+            .ok_or_else(|| EvalError("the venue left individuals unscored".to_owned()))?;
+        self.generation += 1;
+        self.distinct.record(generation);
+        self.cache_hits += hits;
+        Ok(scores)
+    }
+
+    fn evaluations(&self) -> u64 {
+        self.distinct.count()
+    }
+}
+
+/// Scores generations on a directly connected worker fleet.
+pub type RemoteEvaluator = VenueEvaluator<Fleet>;
 
 impl RemoteEvaluator {
     /// Connects a fleet and binds it to an evaluation context.
@@ -879,42 +684,14 @@ impl RemoteEvaluator {
         key: Option<AuthKey>,
         context: EvalContext,
     ) -> Result<RemoteEvaluator, BackendError> {
-        Ok(RemoteEvaluator {
-            fleet: EvalFleet::connect(addrs, key)?,
-            context,
-            distinct: DistinctCounter::default(),
-            cache_hits: 0,
-        })
-    }
-
-    /// Worker-reported cache hits across the search (observability; not
-    /// part of the deterministic evaluation count).
-    #[must_use]
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
+        Ok(VenueEvaluator::new(Fleet::connect(addrs, key)?, context))
     }
 
     /// Individuals re-dispatched after worker deaths (observability;
     /// never part of the evaluation count).
     #[must_use]
     pub fn redispatched(&self) -> u64 {
-        self.fleet.redispatched()
-    }
-}
-
-impl FitnessEvaluator for RemoteEvaluator {
-    fn evaluate(&mut self, generation: &[Vec<f64>]) -> Result<Vec<f64>, EvalError> {
-        let scored = self
-            .fleet
-            .run(&self.context, generation)
-            .map_err(|e| EvalError(e.to_string()))?;
-        self.distinct.record(generation);
-        self.cache_hits += scored.iter().filter(|(_, cached)| *cached).count() as u64;
-        Ok(scored.into_iter().map(|(score, _)| score).collect())
-    }
-
-    fn evaluations(&self) -> u64 {
-        self.distinct.count()
+        self.venue.redispatched()
     }
 }
 

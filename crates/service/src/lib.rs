@@ -23,10 +23,16 @@
 //!   `LocalBackend` the in-process path uses — including worker-side
 //!   golden runs, so N workers warm a campaign up in parallel while
 //!   the driver simulates nothing;
-//! * [`RemoteBackend`] — the client, fanning each batch's cycle-sorted
-//!   shards across one or more workers, merging their event streams,
-//!   and **re-dispatching** the unacknowledged trials of any worker
-//!   whose connection dies mid-batch onto the survivors;
+//! * [`fleet`] — the one supervised worker fleet, carrying both job
+//!   kinds of the methodology: campaign *trial batches* and GA *genome
+//!   batches*. It shards each batch over the live workers, drains every
+//!   shard on its own thread (each index acknowledged exactly once),
+//!   and **re-dispatches** the unacknowledged items of any worker whose
+//!   connection dies mid-batch onto the survivors;
+//! * [`RemoteBackend`] — the campaign client: a parallel setup
+//!   handshake with golden-run cross-check, then trial batches on the
+//!   fleet; [`RemoteEvaluator`] — the search client: genome batches on
+//!   the fleet behind the GA's evaluator trait;
 //! * [`auth`] — keyed-hash (SipHash-2-4) frame authentication under a
 //!   shared `--auth-key-file` key: per-connection, per-direction
 //!   sequence-numbered tags reject tampered, replayed, reflected, and
@@ -58,6 +64,7 @@
 pub mod auth;
 pub mod cache;
 pub mod eval;
+pub mod fleet;
 pub mod frame;
 pub mod metrics;
 pub mod protocol;
@@ -67,9 +74,10 @@ mod server;
 pub use auth::{AuthKey, ConnectionAuth};
 pub use cache::{CacheStats, StoreCache};
 pub use eval::{
-    evaluate_genome, genome_key, target_params, DistinctCounter, EvalBatch, EvalCache,
-    EvalCacheStats, EvalContext, EvalFleet, EvalReply, EvalScore, RemoteEvaluator,
+    evaluate_genome, genome_key, target_params, EvalBatch, EvalCache, EvalCacheStats, EvalContext,
+    EvalReply, EvalScore, EvalVenue, RemoteEvaluator, VenueEvaluator,
 };
+pub use fleet::Fleet;
 pub use metrics::{spawn_metrics, ServeStats};
 pub use remote::RemoteBackend;
 pub use server::{serve, spawn_local, ServeOptions};
