@@ -81,19 +81,19 @@ impl Conn {
         let Some(payload) = self.recv_payload(reader)? else {
             return Ok(None);
         };
-        // A session-level Failed frame (bad hello, auth trouble)
-        // surfaces as a typed remote error, not a codec mismatch.
-        if let Ok(Reply::Failed { error, .. }) = Reply::from_wire(&payload) {
-            return Err(BackendError::Remote(error));
-        }
-        let mux = Mux::from_wire(&payload)?;
-        if mux.tag != tag {
-            return Err(BackendError::Protocol(format!(
+        match Reply::from_wire(&payload)? {
+            Reply::Mux(mux) if mux.tag == tag => Ok(Some(mux.inner)),
+            Reply::Mux(mux) => Err(BackendError::Protocol(format!(
                 "broker answered on MUX tag {} while tag {tag} was active",
                 mux.tag
-            )));
+            ))),
+            // A session-level Failed frame (bad hello, auth trouble)
+            // surfaces as a typed remote error, not a codec mismatch.
+            Reply::Failed { error, .. } => Err(BackendError::Remote(error)),
+            _ => Err(BackendError::Protocol(format!(
+                "broker sent a non-MUX reply while tag {tag} was active"
+            ))),
         }
-        Ok(Some(mux.inner))
     }
 }
 
@@ -401,7 +401,9 @@ mod tests {
             let _hello = read_frame(&mut reader).expect("hello");
             send(Reply::HelloAck { workers: 1 }.to_wire());
             let setup = read_frame(&mut reader).expect("setup").expect("setup");
-            let tag = Mux::from_wire(&setup).expect("mux setup").tag;
+            let Ok(Request::Mux(Mux { tag, .. })) = Request::from_wire(&setup) else {
+                panic!("expected a MUX-wrapped setup");
+            };
             let ready = JobReady {
                 store_hash: 0,
                 golden: GoldenRun {

@@ -15,22 +15,22 @@
 //!
 //! Replies are campaign-id-tagged (`BROKER_STATUS`, `BROKER_REPORT`,
 //! `BROKER_FAILED`), so one connection can follow many campaigns at
-//! once. Every payload opens with the [`avf_isa::wire`] envelope; a
-//! stale peer fails with a typed version error before any broker field
-//! is read.
+//! once.
+//!
+//! Each direction decodes through one enum: [`Request`] is everything
+//! the broker receives from a driver and [`Reply`] everything a driver
+//! receives, `MUX` frames included in both ([`Request::Mux`],
+//! [`Reply::Mux`]). The durable log's records are a third enum,
+//! [`LogRecord`]. Every payload is an [`avf_isa::wire`] frame; a stale
+//! peer fails with a typed version error before any broker field is
+//! read.
 
 use avf_inject::{CampaignConfig, CampaignReport, GoldenMode};
 use avf_isa::wire::{kind, WireError, WireReader, WireWriter};
 use avf_isa::Program;
 use avf_prune::PruneMode;
+use avf_service::protocol::Mux;
 use avf_sim::{FaultModel, MachineConfig};
-
-/// The frame kind of an enveloped payload, without consuming it —
-/// byte 5, after the 4-byte magic and the version byte.
-#[must_use]
-pub fn frame_kind(payload: &[u8]) -> Option<u8> {
-    payload.get(5).copied()
-}
 
 /// Everything the broker needs to run one campaign on behalf of a
 /// tenant: the full machine and program (by value — the broker is
@@ -108,70 +108,32 @@ impl CampaignSpec {
         self.injections.max(1)
     }
 
-    fn encode_body(&self, w: &mut WireWriter) {
+    fn encode(&self, w: &mut WireWriter) {
         self.machine.encode(w);
         self.program.encode(w);
         w.u64(self.injections);
         w.u64(self.seed);
         w.u64(self.instr_budget);
-        match self.ci_target {
-            None => w.u8(0),
-            Some(v) => {
-                w.u8(1);
-                w.f64(v);
-            }
-        }
+        w.opt(self.ci_target, WireWriter::f64);
         w.u64(self.batch_size);
         w.u64(self.checkpoint_interval);
-        w.u8(self.fault_model.wire_code());
-        w.u8(prune_wire_code(self.prune));
+        w.code(&FaultModel::ALL, self.fault_model);
+        w.code(&PruneMode::ALL, self.prune);
     }
 
-    fn decode_body(r: &mut WireReader<'_>) -> Result<CampaignSpec, WireError> {
-        let machine = MachineConfig::decode(r)?;
-        let program = Program::decode(r)?;
-        let injections = r.u64()?;
-        let seed = r.u64()?;
-        let instr_budget = r.u64()?;
-        let ci_target = match r.u8()? {
-            0 => None,
-            1 => Some(r.f64()?),
-            t => return Err(WireError::BadTag(t)),
-        };
-        let batch_size = r.u64()?;
-        let checkpoint_interval = r.u64()?;
-        let model = r.u8()?;
-        let fault_model = FaultModel::from_wire_code(model).ok_or(WireError::BadTag(model))?;
-        let prune = prune_from_wire_code(r.u8()?)?;
+    fn decode(r: &mut WireReader<'_>) -> Result<CampaignSpec, WireError> {
         Ok(CampaignSpec {
-            machine,
-            program,
-            injections,
-            seed,
-            instr_budget,
-            ci_target,
-            batch_size,
-            checkpoint_interval,
-            fault_model,
-            prune,
+            machine: MachineConfig::decode(r)?,
+            program: Program::decode(r)?,
+            injections: r.u64()?,
+            seed: r.u64()?,
+            instr_budget: r.u64()?,
+            ci_target: r.opt(WireReader::f64)?,
+            batch_size: r.u64()?,
+            checkpoint_interval: r.u64()?,
+            fault_model: r.code(&FaultModel::ALL)?,
+            prune: r.code(&PruneMode::ALL)?,
         })
-    }
-}
-
-fn prune_wire_code(mode: PruneMode) -> u8 {
-    match mode {
-        PruneMode::Off => 0,
-        PruneMode::On => 1,
-        PruneMode::Audit => 2,
-    }
-}
-
-fn prune_from_wire_code(code: u8) -> Result<PruneMode, WireError> {
-    match code {
-        0 => Ok(PruneMode::Off),
-        1 => Ok(PruneMode::On),
-        2 => Ok(PruneMode::Audit),
-        t => Err(WireError::BadTag(t)),
     }
 }
 
@@ -189,22 +151,12 @@ pub enum RejectReason {
 }
 
 impl RejectReason {
-    fn wire_code(self) -> u8 {
-        match self {
-            RejectReason::QuotaExceeded => 0,
-            RejectReason::QueueFull => 1,
-            RejectReason::BadSpec => 2,
-        }
-    }
-
-    fn from_wire_code(code: u8) -> Result<RejectReason, WireError> {
-        match code {
-            0 => Ok(RejectReason::QuotaExceeded),
-            1 => Ok(RejectReason::QueueFull),
-            2 => Ok(RejectReason::BadSpec),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
+    /// Every reason, in wire-code order.
+    pub const ALL: [RejectReason; 3] = [
+        RejectReason::QuotaExceeded,
+        RejectReason::QueueFull,
+        RejectReason::BadSpec,
+    ];
 }
 
 impl std::fmt::Display for RejectReason {
@@ -231,24 +183,13 @@ pub enum CampaignPhase {
 }
 
 impl CampaignPhase {
-    fn wire_code(self) -> u8 {
-        match self {
-            CampaignPhase::Queued => 0,
-            CampaignPhase::Running => 1,
-            CampaignPhase::Done => 2,
-            CampaignPhase::Failed => 3,
-        }
-    }
-
-    fn from_wire_code(code: u8) -> Result<CampaignPhase, WireError> {
-        match code {
-            0 => Ok(CampaignPhase::Queued),
-            1 => Ok(CampaignPhase::Running),
-            2 => Ok(CampaignPhase::Done),
-            3 => Ok(CampaignPhase::Failed),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
+    /// Every phase, in wire-code order.
+    pub const ALL: [CampaignPhase; 4] = [
+        CampaignPhase::Queued,
+        CampaignPhase::Running,
+        CampaignPhase::Done,
+        CampaignPhase::Failed,
+    ];
 }
 
 impl std::fmt::Display for CampaignPhase {
@@ -262,7 +203,8 @@ impl std::fmt::Display for CampaignPhase {
     }
 }
 
-/// One driver-to-broker request.
+/// One driver-to-broker request: everything the broker can receive
+/// from a driver.
 #[derive(Debug, Clone)]
 pub enum Request {
     /// Session opener: the tenant this connection bills to.
@@ -277,28 +219,21 @@ pub enum Request {
         /// The campaign id from `BROKER_ACCEPTED`.
         id: u64,
     },
+    /// One worker-protocol frame of an interactive session, tagged
+    /// with the session it belongs to.
+    Mux(Mux),
 }
 
 impl Request {
     /// Serializes the request to an enveloped frame payload.
     #[must_use]
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
         match self {
-            Request::Hello { tenant } => {
-                w.envelope(kind::BROKER_HELLO);
-                w.str(tenant);
-            }
-            Request::Submit(spec) => {
-                w.envelope(kind::BROKER_SUBMIT);
-                spec.encode_body(&mut w);
-            }
-            Request::Attach { id } => {
-                w.envelope(kind::BROKER_ATTACH);
-                w.u64(*id);
-            }
+            Request::Hello { tenant } => WireWriter::frame(kind::BROKER_HELLO, |w| w.str(tenant)),
+            Request::Submit(spec) => WireWriter::frame(kind::BROKER_SUBMIT, |w| spec.encode(w)),
+            Request::Attach { id } => WireWriter::frame(kind::BROKER_ATTACH, |w| w.u64(*id)),
+            Request::Mux(mux) => mux.to_wire(),
         }
-        w.into_bytes()
     }
 
     /// Decodes a frame payload written by [`Request::to_wire`].
@@ -308,26 +243,21 @@ impl Request {
     /// Returns a [`WireError`] on envelope mismatch, truncation, or a
     /// non-request frame kind.
     pub fn from_wire(bytes: &[u8]) -> Result<Request, WireError> {
-        let mut r = WireReader::new(bytes);
-        let req = match r.envelope()? {
-            kind::BROKER_HELLO => Request::Hello { tenant: r.str()? },
-            kind::BROKER_SUBMIT => Request::Submit(Box::new(CampaignSpec::decode_body(&mut r)?)),
-            kind::BROKER_ATTACH => Request::Attach { id: r.u64()? },
-            found => {
-                return Err(WireError::WrongKind {
-                    found,
-                    expected: kind::BROKER_SUBMIT,
-                })
-            }
-        };
-        r.finish()?;
-        Ok(req)
+        WireReader::frame_any(bytes, kind::BROKER_SUBMIT, |found, r| {
+            Ok(Some(match found {
+                kind::BROKER_HELLO => Request::Hello { tenant: r.str()? },
+                kind::BROKER_SUBMIT => Request::Submit(Box::new(CampaignSpec::decode(r)?)),
+                kind::BROKER_ATTACH => Request::Attach { id: r.u64()? },
+                kind::MUX => Request::Mux(Mux::decode(r)?),
+                _ => return Ok(None),
+            }))
+        })
     }
 }
 
-/// One broker-to-driver reply. Every variant that concerns a campaign
-/// carries its id, so replies for different campaigns can interleave
-/// on one connection.
+/// One broker-to-driver reply: everything a driver can receive from the
+/// broker. Every variant that concerns a campaign carries its id, so
+/// replies for different campaigns can interleave on one connection.
 #[derive(Debug, Clone)]
 pub enum Reply {
     /// Session accepted; the broker fronts this many workers.
@@ -371,49 +301,37 @@ pub enum Reply {
         /// The error text.
         error: String,
     },
+    /// One worker-protocol frame of an interactive session, tagged
+    /// with the session it answers.
+    Mux(Mux),
 }
 
 impl Reply {
     /// Serializes the reply to an enveloped frame payload.
     #[must_use]
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
         match self {
             Reply::HelloAck { workers } => {
-                w.envelope(kind::BROKER_HELLO_ACK);
-                w.u64(*workers);
+                WireWriter::frame(kind::BROKER_HELLO_ACK, |w| w.u64(*workers))
             }
-            Reply::Accepted { id } => {
-                w.envelope(kind::BROKER_ACCEPTED);
-                w.u64(*id);
-            }
-            Reply::Rejected { reason, detail } => {
-                w.envelope(kind::BROKER_REJECTED);
-                w.u8(reason.wire_code());
+            Reply::Accepted { id } => WireWriter::frame(kind::BROKER_ACCEPTED, |w| w.u64(*id)),
+            Reply::Rejected { reason, detail } => WireWriter::frame(kind::BROKER_REJECTED, |w| {
+                w.code(&RejectReason::ALL, *reason);
                 w.str(detail);
-            }
+            }),
             Reply::Status {
                 id,
                 phase,
                 trials_done,
-            } => {
-                w.envelope(kind::BROKER_STATUS);
+            } => WireWriter::frame(kind::BROKER_STATUS, |w| {
                 w.u64(*id);
-                w.u8(phase.wire_code());
+                w.code(&CampaignPhase::ALL, *phase);
                 w.u64(*trials_done);
-            }
-            Reply::Report { id, report } => {
-                w.envelope(kind::BROKER_REPORT);
-                w.u64(*id);
-                report.encode(&mut w);
-            }
-            Reply::Failed { id, error } => {
-                w.envelope(kind::BROKER_FAILED);
-                w.u64(*id);
-                w.str(error);
-            }
+            }),
+            Reply::Report { id, report } => encode_report(*id, report),
+            Reply::Failed { id, error } => encode_failed(*id, error),
+            Reply::Mux(mux) => mux.to_wire(),
         }
-        w.into_bytes()
     }
 
     /// Decodes a frame payload written by [`Reply::to_wire`].
@@ -423,37 +341,48 @@ impl Reply {
     /// Returns a [`WireError`] on envelope mismatch, truncation, or a
     /// non-reply frame kind.
     pub fn from_wire(bytes: &[u8]) -> Result<Reply, WireError> {
-        let mut r = WireReader::new(bytes);
-        let reply = match r.envelope()? {
-            kind::BROKER_HELLO_ACK => Reply::HelloAck { workers: r.u64()? },
-            kind::BROKER_ACCEPTED => Reply::Accepted { id: r.u64()? },
-            kind::BROKER_REJECTED => Reply::Rejected {
-                reason: RejectReason::from_wire_code(r.u8()?)?,
-                detail: r.str()?,
-            },
-            kind::BROKER_STATUS => Reply::Status {
-                id: r.u64()?,
-                phase: CampaignPhase::from_wire_code(r.u8()?)?,
-                trials_done: r.u64()?,
-            },
-            kind::BROKER_REPORT => Reply::Report {
-                id: r.u64()?,
-                report: Box::new(CampaignReport::decode(&mut r)?),
-            },
-            kind::BROKER_FAILED => Reply::Failed {
-                id: r.u64()?,
-                error: r.str()?,
-            },
-            found => {
-                return Err(WireError::WrongKind {
-                    found,
-                    expected: kind::BROKER_STATUS,
-                })
-            }
-        };
-        r.finish()?;
-        Ok(reply)
+        WireReader::frame_any(bytes, kind::BROKER_STATUS, |found, r| {
+            Ok(Some(match found {
+                kind::BROKER_HELLO_ACK => Reply::HelloAck { workers: r.u64()? },
+                kind::BROKER_ACCEPTED => Reply::Accepted { id: r.u64()? },
+                kind::BROKER_REJECTED => Reply::Rejected {
+                    reason: r.code(&RejectReason::ALL)?,
+                    detail: r.str()?,
+                },
+                kind::BROKER_STATUS => Reply::Status {
+                    id: r.u64()?,
+                    phase: r.code(&CampaignPhase::ALL)?,
+                    trials_done: r.u64()?,
+                },
+                kind::BROKER_REPORT => Reply::Report {
+                    id: r.u64()?,
+                    report: Box::new(CampaignReport::decode(r)?),
+                },
+                kind::BROKER_FAILED => Reply::Failed {
+                    id: r.u64()?,
+                    error: r.str()?,
+                },
+                kind::MUX => Reply::Mux(Mux::decode(r)?),
+                _ => return Ok(None),
+            }))
+        })
     }
+}
+
+// A report or failure is the same frame whether it answers a driver or
+// lands in the durable log.
+fn encode_report(id: u64, report: &CampaignReport) -> Vec<u8> {
+    WireWriter::frame(kind::BROKER_REPORT, |w| {
+        w.u64(id);
+        report.encode(w);
+    })
+}
+
+fn encode_failed(id: u64, error: &str) -> Vec<u8> {
+    WireWriter::frame(kind::BROKER_FAILED, |w| {
+        w.u64(id);
+        w.str(error);
+    })
 }
 
 /// One record of the broker's durable append-only campaign log.
@@ -496,31 +425,21 @@ impl LogRecord {
     /// Serializes the record to an enveloped frame payload.
     #[must_use]
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
         match self {
             LogRecord::Accepted { id, tenant, spec } => {
-                w.envelope(kind::LOG_ACCEPTED);
-                w.u64(*id);
-                w.str(tenant);
-                spec.encode_body(&mut w);
+                WireWriter::frame(kind::LOG_ACCEPTED, |w| {
+                    w.u64(*id);
+                    w.str(tenant);
+                    spec.encode(w);
+                })
             }
-            LogRecord::Progress { id, trials_done } => {
-                w.envelope(kind::LOG_PROGRESS);
+            LogRecord::Progress { id, trials_done } => WireWriter::frame(kind::LOG_PROGRESS, |w| {
                 w.u64(*id);
                 w.u64(*trials_done);
-            }
-            LogRecord::Report { id, report } => {
-                w.envelope(kind::BROKER_REPORT);
-                w.u64(*id);
-                report.encode(&mut w);
-            }
-            LogRecord::Failed { id, error } => {
-                w.envelope(kind::BROKER_FAILED);
-                w.u64(*id);
-                w.str(error);
-            }
+            }),
+            LogRecord::Report { id, report } => encode_report(*id, report),
+            LogRecord::Failed { id, error } => encode_failed(*id, error),
         }
-        w.into_bytes()
     }
 
     /// Decodes a frame payload written by [`LogRecord::to_wire`].
@@ -530,34 +449,28 @@ impl LogRecord {
     /// Returns a [`WireError`] on envelope mismatch, truncation, or a
     /// non-record frame kind.
     pub fn from_wire(bytes: &[u8]) -> Result<LogRecord, WireError> {
-        let mut r = WireReader::new(bytes);
-        let record = match r.envelope()? {
-            kind::LOG_ACCEPTED => LogRecord::Accepted {
-                id: r.u64()?,
-                tenant: r.str()?,
-                spec: Box::new(CampaignSpec::decode_body(&mut r)?),
-            },
-            kind::LOG_PROGRESS => LogRecord::Progress {
-                id: r.u64()?,
-                trials_done: r.u64()?,
-            },
-            kind::BROKER_REPORT => LogRecord::Report {
-                id: r.u64()?,
-                report: Box::new(CampaignReport::decode(&mut r)?),
-            },
-            kind::BROKER_FAILED => LogRecord::Failed {
-                id: r.u64()?,
-                error: r.str()?,
-            },
-            found => {
-                return Err(WireError::WrongKind {
-                    found,
-                    expected: kind::LOG_ACCEPTED,
-                })
-            }
-        };
-        r.finish()?;
-        Ok(record)
+        WireReader::frame_any(bytes, kind::LOG_ACCEPTED, |found, r| {
+            Ok(Some(match found {
+                kind::LOG_ACCEPTED => LogRecord::Accepted {
+                    id: r.u64()?,
+                    tenant: r.str()?,
+                    spec: Box::new(CampaignSpec::decode(r)?),
+                },
+                kind::LOG_PROGRESS => LogRecord::Progress {
+                    id: r.u64()?,
+                    trials_done: r.u64()?,
+                },
+                kind::BROKER_REPORT => LogRecord::Report {
+                    id: r.u64()?,
+                    report: Box::new(CampaignReport::decode(r)?),
+                },
+                kind::BROKER_FAILED => LogRecord::Failed {
+                    id: r.u64()?,
+                    error: r.str()?,
+                },
+                _ => return Ok(None),
+            }))
+        })
     }
 }
 
@@ -698,9 +611,29 @@ mod tests {
     }
 
     #[test]
-    fn frame_kind_peeks_without_consuming() {
-        let frame = Request::Attach { id: 1 }.to_wire();
-        assert_eq!(frame_kind(&frame), Some(kind::BROKER_ATTACH));
-        assert_eq!(frame_kind(&[]), None);
+    fn mux_frames_decode_in_both_directions() {
+        let mux = Mux::wrap(7, Request::Attach { id: 1 }.to_wire());
+        match Request::from_wire(&Request::Mux(mux.clone()).to_wire()).unwrap() {
+            Request::Mux(back) => assert_eq!(back, mux),
+            other => panic!("{other:?}"),
+        }
+        match Reply::from_wire(&Reply::Mux(mux.clone()).to_wire()).unwrap() {
+            Reply::Mux(back) => assert_eq!(back, mux),
+            other => panic!("{other:?}"),
+        }
+        // A reply-only kind is not a request, and vice versa.
+        let ack = Reply::HelloAck { workers: 1 }.to_wire();
+        assert!(matches!(
+            Request::from_wire(&ack),
+            Err(WireError::WrongKind { .. })
+        ));
+        let hello = Request::Hello {
+            tenant: "t".to_owned(),
+        }
+        .to_wire();
+        assert!(matches!(
+            Reply::from_wire(&hello),
+            Err(WireError::WrongKind { .. })
+        ));
     }
 }

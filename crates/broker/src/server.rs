@@ -41,13 +41,12 @@ use avf_inject::{
     BackendError, Campaign, CampaignBackend, CampaignSession, DispatchRecord, GoldenSpec, JobSpec,
     OpenedJob, Trial, TrialStream,
 };
-use avf_isa::wire::kind;
 use avf_service::auth::{read_frame_verified, write_frame_signed, AuthKey, ConnectionAuth};
 use avf_service::protocol::{ClientMessage, JobReady, Mux, ServerMessage, SetupMode};
-use avf_service::{EvalBatch, EvalVenue, Fleet, RemoteBackend};
+use avf_service::{EvalVenue, Fleet, RemoteBackend};
 
 use crate::metrics::BrokerStats;
-use crate::protocol::{frame_kind, CampaignPhase, CampaignSpec, Reply, Request};
+use crate::protocol::{CampaignPhase, CampaignSpec, Reply, Request};
 use crate::queue::FairQueue;
 use crate::store::{CampaignStore, StoredCampaign};
 
@@ -609,18 +608,8 @@ fn handle_driver(inner: &Arc<Inner>, stream: TcpStream) {
                 return;
             }
         };
-        match frame_kind(&payload) {
-            Some(kind::MUX) => {
-                let Ok(mux) = Mux::from_wire(&payload) else {
-                    let _ = outbox.send(
-                        Reply::Failed {
-                            id: 0,
-                            error: "malformed MUX frame".to_owned(),
-                        }
-                        .to_wire(),
-                    );
-                    return;
-                };
+        match Request::from_wire(&payload) {
+            Ok(Request::Mux(mux)) => {
                 if let Some(route) = routes.get(&mux.tag) {
                     // An empty payload is the driver's end-of-session
                     // marker: the relay exits on it, so drop the route
@@ -650,47 +639,45 @@ fn handle_driver(inner: &Arc<Inner>, stream: TcpStream) {
                     relay(&inner, &tenant, mux.tag, mux.inner, &rx, &outbox);
                 });
             }
-            _ => match Request::from_wire(&payload) {
-                Ok(Request::Hello { tenant: t }) => {
-                    tenant = Some(t);
-                    let _ = outbox.send(
-                        Reply::HelloAck {
-                            workers: inner.opts.workers.len() as u64,
-                        }
-                        .to_wire(),
-                    );
-                }
-                Ok(Request::Submit(spec)) => {
-                    let Some(tenant) = tenant.as_deref() else {
-                        let _ = outbox.send(
-                            Reply::Failed {
-                                id: 0,
-                                error: "hello required before submit".to_owned(),
-                            }
-                            .to_wire(),
-                        );
-                        continue;
-                    };
-                    let reply = admit_spec(inner, tenant, *spec, &outbox);
-                    let _ = outbox.send(reply.to_wire());
-                }
-                Ok(Request::Attach { id }) => {
-                    let reply = attach(inner, id, &outbox);
-                    for frame in reply {
-                        let _ = outbox.send(frame);
+            Ok(Request::Hello { tenant: t }) => {
+                tenant = Some(t);
+                let _ = outbox.send(
+                    Reply::HelloAck {
+                        workers: inner.opts.workers.len() as u64,
                     }
-                }
-                Err(e) => {
+                    .to_wire(),
+                );
+            }
+            Ok(Request::Submit(spec)) => {
+                let Some(tenant) = tenant.as_deref() else {
                     let _ = outbox.send(
                         Reply::Failed {
                             id: 0,
-                            error: format!("unrecognized frame: {e}"),
+                            error: "hello required before submit".to_owned(),
                         }
                         .to_wire(),
                     );
-                    return;
+                    continue;
+                };
+                let reply = admit_spec(inner, tenant, *spec, &outbox);
+                let _ = outbox.send(reply.to_wire());
+            }
+            Ok(Request::Attach { id }) => {
+                let reply = attach(inner, id, &outbox);
+                for frame in reply {
+                    let _ = outbox.send(frame);
                 }
-            },
+            }
+            Err(e) => {
+                let _ = outbox.send(
+                    Reply::Failed {
+                        id: 0,
+                        error: format!("unrecognized frame: {e}"),
+                    }
+                    .to_wire(),
+                );
+                return;
+            }
         }
     }
 }
@@ -843,14 +830,14 @@ enum Relayed {
 }
 
 /// Checks a session's opening frame, before it costs a scheduler slot:
-/// a delegated-golden campaign setup, or (wire v7) a search's first
-/// `EVAL_BATCH`, which yields no spec.
-fn campaign_spec(first: &[u8]) -> Result<Option<JobSpec>, &'static str> {
-    if frame_kind(first) == Some(kind::EVAL_BATCH) {
-        return Ok(None);
-    }
-    let Ok(ClientMessage::Setup(setup)) = ClientMessage::from_wire(first) else {
-        return Err("interactive session must open with a setup");
+/// a delegated-golden campaign setup yields its spec; (wire v7) a
+/// search's first `EVAL_BATCH` yields no spec and is handed back as the
+/// session's first batch.
+fn open_frame(first: &[u8]) -> Result<(Option<JobSpec>, Option<ClientMessage>), &'static str> {
+    let setup = match ClientMessage::from_wire(first) {
+        Ok(ClientMessage::Setup(setup)) => setup,
+        Ok(batch @ ClientMessage::Eval(_)) => return Ok((None, Some(batch))),
+        _ => return Err("interactive session must open with a setup"),
     };
     let SetupMode::Delegated {
         checkpoint_interval,
@@ -860,7 +847,7 @@ fn campaign_spec(first: &[u8]) -> Result<Option<JobSpec>, &'static str> {
         // the brokered path is delegated-golden by design.
         return Err("brokered sessions are delegated-golden only (golden mode `worker`)");
     };
-    Ok(Some(JobSpec {
+    let spec = JobSpec {
         machine: setup.machine,
         program: setup.program,
         instr_budget: setup.instr_budget,
@@ -869,7 +856,8 @@ fn campaign_spec(first: &[u8]) -> Result<Option<JobSpec>, &'static str> {
             checkpoint_interval,
         },
         prune: setup.prune,
-    }))
+    };
+    Ok((Some(spec), None))
 }
 
 impl Relayed {
@@ -897,14 +885,11 @@ impl Relayed {
         ))
     }
 
-    /// Decodes one driver batch frame and runs it on the fleet: the
-    /// item count, then every ack as a worker-protocol frame.
-    fn submit(&mut self, frame: &[u8]) -> Result<(u64, AckFrames), String> {
-        match self {
-            Relayed::Trials(session) => {
-                let Ok(ClientMessage::Batch(trials)) = ClientMessage::from_wire(frame) else {
-                    return Err("expected a trial batch frame".to_owned());
-                };
+    /// Runs one driver batch on the fleet: the item count, then every
+    /// ack as a worker-protocol frame.
+    fn submit(&mut self, batch: ClientMessage) -> Result<(u64, AckFrames), &'static str> {
+        match (self, batch) {
+            (Relayed::Trials(session), ClientMessage::Batch(trials)) => {
                 let acks: AckFrames = match session.submit(&trials) {
                     Ok(stream) => {
                         Box::new(stream.map(|ev| ev.map(|ev| ServerMessage::Event(ev).to_wire())))
@@ -913,16 +898,16 @@ impl Relayed {
                 };
                 Ok((trials.len() as u64, acks))
             }
-            Relayed::Genomes(fleet) => {
-                let batch =
-                    EvalBatch::from_wire(frame).map_err(|e| format!("bad eval batch: {e}"))?;
+            (Relayed::Genomes(fleet), ClientMessage::Eval(batch)) => {
                 let items = batch.individuals.len() as u64;
-                let acks: Vec<_> = match fleet.score(batch) {
+                let acks: Vec<_> = match fleet.score(*batch) {
                     Ok(scores) => scores.iter().map(|s| Ok(s.to_wire())).collect(),
                     Err(e) => vec![Err(e)],
                 };
                 Ok((items, Box::new(acks.into_iter())))
             }
+            (Relayed::Trials(_), _) => Err("expected a trial batch frame"),
+            (Relayed::Genomes(_), _) => Err("expected an eval batch frame"),
         }
     }
 
@@ -956,8 +941,8 @@ fn relay(
     outbox: &mpsc::Sender<Vec<u8>>,
 ) {
     BrokerStats::bump(&inner.stats.mux_sessions, 1);
-    let spec = match campaign_spec(&first) {
-        Ok(spec) => spec,
+    let (spec, mut next) = match open_frame(&first) {
+        Ok(opened) => opened,
         Err(msg) => {
             let _ = outbox.send(mux_error(tag, msg));
             return;
@@ -991,34 +976,35 @@ fn relay(
         }
     };
     let send = |inner_frame: Vec<u8>| outbox.send(Mux::wrap(tag, inner_frame).to_wire()).is_ok();
-    let mut next = match ready {
-        Some(ready) => {
-            if !send(ready) {
-                return;
-            }
-            None
+    if let Some(ready) = ready {
+        if !send(ready) {
+            return;
         }
-        None => Some(first),
-    };
+    }
 
     let mut redis_seen = 0u64;
     loop {
-        let frame = match next.take() {
-            Some(frame) => frame,
+        let batch = match next.take() {
+            Some(batch) => batch,
             None => match rx.recv() {
-                Ok(frame) => frame,
+                // The driver's end-of-session marker: release the slot
+                // so the next session on this persistent connection can
+                // be granted.
+                Ok(frame) if frame.is_empty() => return,
+                Ok(frame) => match ClientMessage::from_wire(&frame) {
+                    Ok(batch) => batch,
+                    Err(e) => {
+                        let _ = outbox.send(mux_error(tag, &format!("bad batch frame: {e}")));
+                        return;
+                    }
+                },
                 Err(_) => return,
             },
         };
-        // The driver's end-of-session marker: release the slot so the
-        // next session on this persistent connection can be granted.
-        if frame.is_empty() {
-            return;
-        }
-        let (items, acks) = match relayed.submit(&frame) {
+        let (items, acks) = match relayed.submit(batch) {
             Ok(submitted) => submitted,
             Err(msg) => {
-                let _ = outbox.send(mux_error(tag, &msg));
+                let _ = outbox.send(mux_error(tag, msg));
                 return;
             }
         };

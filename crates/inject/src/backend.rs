@@ -202,6 +202,15 @@ pub enum StoreSource {
     GoldenRun,
 }
 
+impl StoreSource {
+    /// Every source, in wire-code order (the campaign-report codec).
+    pub const ALL: [StoreSource; 3] = [
+        StoreSource::Cached,
+        StoreSource::Shipped,
+        StoreSource::GoldenRun,
+    ];
+}
+
 impl fmt::Display for StoreSource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -273,44 +282,24 @@ impl TrialEvent {
     /// Serializes the event to a self-contained enveloped blob.
     #[must_use]
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.envelope(kind::TRIAL_EVENT);
-        w.u64(self.index);
-        w.u8(self.target.wire_code());
-        w.u8(self.outcome.wire_code());
-        w.into_bytes()
+        WireWriter::frame(kind::TRIAL_EVENT, |w| {
+            w.u64(self.index);
+            w.code(&InjectionTarget::ALL, self.target);
+            w.code(&Outcome::ALL, self.outcome);
+        })
     }
 
-    /// Decodes the payload of a [`kind::TRIAL_EVENT`] envelope whose
-    /// header `r` has already consumed.
+    /// Decodes the body of a [`kind::TRIAL_EVENT`] frame.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] on truncation or unknown codes.
-    pub fn decode_body(r: &mut WireReader<'_>) -> Result<TrialEvent, WireError> {
-        let index = r.u64()?;
-        let target_code = r.u8()?;
-        let outcome_code = r.u8()?;
+    pub fn decode(r: &mut WireReader<'_>) -> Result<TrialEvent, WireError> {
         Ok(TrialEvent {
-            index,
-            target: InjectionTarget::from_wire_code(target_code)
-                .ok_or(WireError::BadTag(target_code))?,
-            outcome: Outcome::from_wire_code(outcome_code)
-                .ok_or(WireError::BadTag(outcome_code))?,
+            index: r.u64()?,
+            target: r.code(&InjectionTarget::ALL)?,
+            outcome: r.code(&Outcome::ALL)?,
         })
-    }
-
-    /// Decodes an event written by [`TrialEvent::to_wire`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on envelope mismatch or truncation.
-    pub fn from_wire(bytes: &[u8]) -> Result<TrialEvent, WireError> {
-        let mut r = WireReader::new(bytes);
-        r.expect_envelope(kind::TRIAL_EVENT)?;
-        let ev = TrialEvent::decode_body(&mut r)?;
-        r.finish()?;
-        Ok(ev)
     }
 }
 
@@ -318,31 +307,17 @@ impl TrialEvent {
 /// ([`kind::TRIAL_BATCH`]).
 #[must_use]
 pub fn encode_trial_batch(trials: &[Trial]) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.envelope(kind::TRIAL_BATCH);
-    w.usize(trials.len());
-    for t in trials {
-        t.encode(&mut w);
-    }
-    w.into_bytes()
+    WireWriter::frame(kind::TRIAL_BATCH, |w| w.seq(trials, |w, t| t.encode(w)))
 }
 
-/// Decodes a batch written by [`encode_trial_batch`].
+/// Decodes the body of a [`kind::TRIAL_BATCH`] frame written by
+/// [`encode_trial_batch`].
 ///
 /// # Errors
 ///
-/// Returns a [`WireError`] on envelope mismatch, truncation, or unknown
-/// target codes.
-pub fn decode_trial_batch(bytes: &[u8]) -> Result<Vec<Trial>, WireError> {
-    let mut r = WireReader::new(bytes);
-    r.expect_envelope(kind::TRIAL_BATCH)?;
-    let n = r.seq_len(Trial::WIRE_BYTES)?;
-    let mut trials = Vec::with_capacity(n);
-    for _ in 0..n {
-        trials.push(Trial::decode(&mut r)?);
-    }
-    r.finish()?;
-    Ok(trials)
+/// Returns a [`WireError`] on truncation or unknown target codes.
+pub fn decode_trial_batch(r: &mut WireReader<'_>) -> Result<Vec<Trial>, WireError> {
+    r.seq(Trial::WIRE_BYTES, Trial::decode)
 }
 
 /// An execution venue for campaign trials.
@@ -717,31 +692,27 @@ mod tests {
     fn trial_batch_round_trips() {
         let trials: Vec<Trial> = (0..17).map(|i| trial(i, 1000 - i * 7)).collect();
         let bytes = encode_trial_batch(&trials);
-        assert_eq!(decode_trial_batch(&bytes).unwrap(), trials);
-        assert!(decode_trial_batch(&bytes[..bytes.len() - 1]).is_err());
-        assert!(matches!(
-            decode_trial_batch(&[0u8; 32]),
-            Err(WireError::BadMagic(_))
-        ));
+        fn decode(bytes: &[u8]) -> Result<Vec<Trial>, WireError> {
+            WireReader::frame(bytes, kind::TRIAL_BATCH, decode_trial_batch)
+        }
+        assert_eq!(decode(&bytes).unwrap(), trials);
+        assert!(decode(&bytes[..bytes.len() - 1]).is_err());
+        assert!(matches!(decode(&[0u8; 32]), Err(WireError::BadMagic(_))));
     }
 
     #[test]
     fn trial_event_round_trips() {
-        for (i, outcome) in [
-            Outcome::Masked,
-            Outcome::Sdc,
-            Outcome::Due,
-            Outcome::Unreached,
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        for (i, outcome) in Outcome::ALL.into_iter().enumerate() {
             let ev = TrialEvent {
                 index: i as u64 * 1000,
-                target: InjectionTarget::ALL[i * 2],
+                target: InjectionTarget::ALL[(i * 2) % InjectionTarget::ALL.len()],
                 outcome,
             };
-            assert_eq!(TrialEvent::from_wire(&ev.to_wire()).unwrap(), ev);
+            let bytes = ev.to_wire();
+            assert_eq!(
+                WireReader::frame(&bytes, kind::TRIAL_EVENT, TrialEvent::decode),
+                Ok(ev)
+            );
         }
     }
 

@@ -119,28 +119,12 @@ pub enum Outcome {
 }
 
 impl Outcome {
-    /// Stable single-byte code used by the trial-event wire codec.
-    #[must_use]
-    pub fn wire_code(self) -> u8 {
-        match self {
-            Outcome::Masked => 0,
-            Outcome::Sdc => 1,
-            Outcome::Due => 2,
-            Outcome::Unreached => 3,
-            Outcome::ReplayDiverged => 4,
-        }
-    }
-
-    /// Inverse of [`Outcome::wire_code`].
-    #[must_use]
-    pub fn from_wire_code(code: u8) -> Option<Outcome> {
-        match code {
-            0 => Some(Outcome::Masked),
-            1 => Some(Outcome::Sdc),
-            2 => Some(Outcome::Due),
-            3 => Some(Outcome::Unreached),
-            4 => Some(Outcome::ReplayDiverged),
-            _ => None,
-        }
-    }
+    /// Every outcome, in wire-code order (the trial-event codec).
+    pub const ALL: [Outcome; 5] = [
+        Outcome::Masked,
+        Outcome::Sdc,
+        Outcome::Due,
+        Outcome::Unreached,
+        Outcome::ReplayDiverged,
+    ];
 }

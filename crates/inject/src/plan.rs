@@ -51,7 +51,7 @@ impl Trial {
     /// Serializes the trial into a wire writer.
     pub fn encode(&self, w: &mut WireWriter) {
         w.u64(self.index);
-        w.u8(self.target.wire_code());
+        w.code(&InjectionTarget::ALL, self.target);
         w.u64(self.cycle);
         w.u64(self.entry);
         w.u32(self.bit);
@@ -65,12 +65,9 @@ impl Trial {
     ///
     /// Returns a [`WireError`] on truncation or an unknown target code.
     pub fn decode(r: &mut WireReader<'_>) -> Result<Trial, WireError> {
-        let index = r.u64()?;
-        let code = r.u8()?;
-        let target = InjectionTarget::from_wire_code(code).ok_or(WireError::BadTag(code))?;
         Ok(Trial {
-            index,
-            target,
+            index: r.u64()?,
+            target: r.code(&InjectionTarget::ALL)?,
             cycle: r.u64()?,
             entry: r.u64()?,
             bit: r.u32()?,

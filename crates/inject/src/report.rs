@@ -172,26 +172,12 @@ impl StopReason {
         }
     }
 
-    /// Stable wire code (broker report codec).
-    #[must_use]
-    pub fn wire_code(self) -> u8 {
-        match self {
-            StopReason::FixedPlan => 0,
-            StopReason::CiTarget => 1,
-            StopReason::TrialCap => 2,
-        }
-    }
-
-    /// Inverse of [`StopReason::wire_code`].
-    #[must_use]
-    pub fn from_wire_code(code: u8) -> Option<StopReason> {
-        match code {
-            0 => Some(StopReason::FixedPlan),
-            1 => Some(StopReason::CiTarget),
-            2 => Some(StopReason::TrialCap),
-            _ => None,
-        }
-    }
+    /// Every reason, in wire-code order (the campaign-report codec).
+    pub const ALL: [StopReason; 3] = [
+        StopReason::FixedPlan,
+        StopReason::CiTarget,
+        StopReason::TrialCap,
+    ];
 }
 
 /// Progress of one adaptive batch, recorded as the campaign aggregates
@@ -331,54 +317,19 @@ impl CampaignReport {
     pub fn encode(&self, w: &mut WireWriter) {
         w.str(&self.program);
         w.u64(self.injections);
-        w.u8(self.fault_model.wire_code());
+        w.code(&FaultModel::ALL, self.fault_model);
         w.u64(self.seed);
         w.usize(self.workers);
-        w.u64(self.golden.cycles);
-        w.u64(self.golden.committed);
-        w.u64(self.golden.digest);
-        w.usize(self.targets.len());
-        for t in &self.targets {
-            w.u8(t.target.wire_code());
-            w.u64(t.counts.masked);
-            w.u64(t.counts.sdc);
-            w.u64(t.counts.due);
-            w.u64(t.counts.diverged);
-            w.u64(t.counts.unreached);
-            w.f64(t.ace_avf);
-            w.f64(t.residual);
-        }
-        match self.ci_target {
-            None => w.u8(0),
-            Some(v) => {
-                w.u8(1);
-                w.f64(v);
-            }
-        }
-        w.u8(prune_wire_code(self.prune));
+        self.golden.encode(w);
+        w.seq(&self.targets, encode_target);
+        w.opt(self.ci_target, WireWriter::f64);
+        w.code(&PruneMode::ALL, self.prune);
         w.u64(self.audited);
-        w.u8(self.stop.wire_code());
-        w.usize(self.batches.len());
-        for b in &self.batches {
-            w.u64(b.batch);
-            w.u64(b.trials);
-            w.u64(b.cumulative);
-            w.u8(b.widest.wire_code());
-            w.f64(b.max_half_width);
-        }
+        w.code(&StopReason::ALL, self.stop);
+        w.seq(&self.batches, encode_batch);
         w.usize(self.checkpoints);
-        w.usize(self.provisioning.len());
-        for p in &self.provisioning {
-            w.str(&p.worker);
-            w.u8(store_source_wire_code(p.source));
-        }
-        w.usize(self.dispatches.len());
-        for d in &self.dispatches {
-            w.u64(d.batch);
-            w.str(&d.worker);
-            w.u64(d.trials);
-            w.bool(d.redispatched);
-        }
+        w.seq(&self.provisioning, encode_provision);
+        w.seq(&self.dispatches, encode_dispatch);
         w.u64(self.wall.as_nanos().min(u128::from(u64::MAX)) as u64);
     }
 
@@ -388,138 +339,109 @@ impl CampaignReport {
     ///
     /// Returns a [`WireError`] on truncation or unknown codes.
     pub fn decode(r: &mut WireReader<'_>) -> Result<CampaignReport, WireError> {
-        let program = r.str()?;
-        let injections = r.u64()?;
-        let model_code = r.u8()?;
-        let fault_model =
-            FaultModel::from_wire_code(model_code).ok_or(WireError::BadTag(model_code))?;
-        let seed = r.u64()?;
-        let workers = r.usize()?;
-        let golden = GoldenRun {
-            cycles: r.u64()?,
-            committed: r.u64()?,
-            digest: r.u64()?,
-        };
-        let n_targets = r.seq_len(1)?;
-        let mut targets = Vec::with_capacity(n_targets);
-        for _ in 0..n_targets {
-            let code = r.u8()?;
-            let target = InjectionTarget::from_wire_code(code).ok_or(WireError::BadTag(code))?;
-            let counts = OutcomeCounts {
-                masked: r.u64()?,
-                sdc: r.u64()?,
-                due: r.u64()?,
-                diverged: r.u64()?,
-                unreached: r.u64()?,
-            };
-            targets.push(TargetReport {
-                target,
-                counts,
-                ace_avf: r.f64()?,
-                residual: r.f64()?,
-            });
-        }
-        let ci_target = match r.u8()? {
-            0 => None,
-            1 => Some(r.f64()?),
-            t => return Err(WireError::BadTag(t)),
-        };
-        let prune_code = r.u8()?;
-        let prune = prune_from_wire_code(prune_code).ok_or(WireError::BadTag(prune_code))?;
-        let audited = r.u64()?;
-        let stop_code = r.u8()?;
-        let stop = StopReason::from_wire_code(stop_code).ok_or(WireError::BadTag(stop_code))?;
-        let n_batches = r.seq_len(1)?;
-        let mut batches = Vec::with_capacity(n_batches);
-        for _ in 0..n_batches {
-            let batch = r.u64()?;
-            let trials = r.u64()?;
-            let cumulative = r.u64()?;
-            let code = r.u8()?;
-            let widest = InjectionTarget::from_wire_code(code).ok_or(WireError::BadTag(code))?;
-            batches.push(BatchProgress {
-                batch,
-                trials,
-                cumulative,
-                widest,
-                max_half_width: r.f64()?,
-            });
-        }
-        let checkpoints = r.usize()?;
-        let n_prov = r.seq_len(1)?;
-        let mut provisioning = Vec::with_capacity(n_prov);
-        for _ in 0..n_prov {
-            let worker = r.str()?;
-            let code = r.u8()?;
-            let source = store_source_from_wire_code(code).ok_or(WireError::BadTag(code))?;
-            provisioning.push(WorkerProvision { worker, source });
-        }
-        let n_disp = r.seq_len(1)?;
-        let mut dispatches = Vec::with_capacity(n_disp);
-        for _ in 0..n_disp {
-            dispatches.push(DispatchRecord {
-                batch: r.u64()?,
-                worker: r.str()?,
-                trials: r.u64()?,
-                redispatched: r.bool()?,
-            });
-        }
-        let wall = Duration::from_nanos(r.u64()?);
         Ok(CampaignReport {
-            program,
-            injections,
-            fault_model,
-            seed,
-            workers,
-            golden,
-            targets,
-            ci_target,
-            prune,
-            audited,
-            stop,
-            batches,
-            checkpoints,
-            provisioning,
-            dispatches,
-            wall,
+            program: r.str()?,
+            injections: r.u64()?,
+            fault_model: r.code(&FaultModel::ALL)?,
+            seed: r.u64()?,
+            workers: r.usize()?,
+            golden: GoldenRun::decode(r)?,
+            targets: r.seq(TARGET_MIN_BYTES, decode_target)?,
+            ci_target: r.opt(WireReader::f64)?,
+            prune: r.code(&PruneMode::ALL)?,
+            audited: r.u64()?,
+            stop: r.code(&StopReason::ALL)?,
+            batches: r.seq(BATCH_MIN_BYTES, decode_batch)?,
+            checkpoints: r.usize()?,
+            provisioning: r.seq(PROVISION_MIN_BYTES, decode_provision)?,
+            dispatches: r.seq(DISPATCH_MIN_BYTES, decode_dispatch)?,
+            wall: Duration::from_nanos(r.u64()?),
         })
     }
 }
 
-/// Stable wire code of a [`PruneMode`] (defined here because the prune
-/// crate has no wire dependency).
-fn prune_wire_code(mode: PruneMode) -> u8 {
-    match mode {
-        PruneMode::Off => 0,
-        PruneMode::On => 1,
-        PruneMode::Audit => 2,
+// Wire minimum of each report sequence element (strings empty), so a
+// hostile count cannot make the decoder reserve more than the frame
+// could hold.
+const TARGET_MIN_BYTES: usize = 1 + 5 * 8 + 2 * 8;
+const BATCH_MIN_BYTES: usize = 3 * 8 + 1 + 8;
+const PROVISION_MIN_BYTES: usize = 8 + 1;
+const DISPATCH_MIN_BYTES: usize = 8 + 8 + 8 + 1;
+
+fn encode_target(w: &mut WireWriter, t: &TargetReport) {
+    w.code(&InjectionTarget::ALL, t.target);
+    for count in [
+        t.counts.masked,
+        t.counts.sdc,
+        t.counts.due,
+        t.counts.diverged,
+        t.counts.unreached,
+    ] {
+        w.u64(count);
     }
+    w.f64(t.ace_avf);
+    w.f64(t.residual);
 }
 
-fn prune_from_wire_code(code: u8) -> Option<PruneMode> {
-    match code {
-        0 => Some(PruneMode::Off),
-        1 => Some(PruneMode::On),
-        2 => Some(PruneMode::Audit),
-        _ => None,
-    }
+fn decode_target(r: &mut WireReader<'_>) -> Result<TargetReport, WireError> {
+    Ok(TargetReport {
+        target: r.code(&InjectionTarget::ALL)?,
+        counts: OutcomeCounts {
+            masked: r.u64()?,
+            sdc: r.u64()?,
+            due: r.u64()?,
+            diverged: r.u64()?,
+            unreached: r.u64()?,
+        },
+        ace_avf: r.f64()?,
+        residual: r.f64()?,
+    })
 }
 
-fn store_source_wire_code(source: StoreSource) -> u8 {
-    match source {
-        StoreSource::Cached => 0,
-        StoreSource::Shipped => 1,
-        StoreSource::GoldenRun => 2,
-    }
+fn encode_batch(w: &mut WireWriter, b: &BatchProgress) {
+    w.u64(b.batch);
+    w.u64(b.trials);
+    w.u64(b.cumulative);
+    w.code(&InjectionTarget::ALL, b.widest);
+    w.f64(b.max_half_width);
 }
 
-fn store_source_from_wire_code(code: u8) -> Option<StoreSource> {
-    match code {
-        0 => Some(StoreSource::Cached),
-        1 => Some(StoreSource::Shipped),
-        2 => Some(StoreSource::GoldenRun),
-        _ => None,
-    }
+fn decode_batch(r: &mut WireReader<'_>) -> Result<BatchProgress, WireError> {
+    Ok(BatchProgress {
+        batch: r.u64()?,
+        trials: r.u64()?,
+        cumulative: r.u64()?,
+        widest: r.code(&InjectionTarget::ALL)?,
+        max_half_width: r.f64()?,
+    })
+}
+
+fn encode_provision(w: &mut WireWriter, p: &WorkerProvision) {
+    w.str(&p.worker);
+    w.code(&StoreSource::ALL, p.source);
+}
+
+fn decode_provision(r: &mut WireReader<'_>) -> Result<WorkerProvision, WireError> {
+    Ok(WorkerProvision {
+        worker: r.str()?,
+        source: r.code(&StoreSource::ALL)?,
+    })
+}
+
+fn encode_dispatch(w: &mut WireWriter, d: &DispatchRecord) {
+    w.u64(d.batch);
+    w.str(&d.worker);
+    w.u64(d.trials);
+    w.bool(d.redispatched);
+}
+
+fn decode_dispatch(r: &mut WireReader<'_>) -> Result<DispatchRecord, WireError> {
+    Ok(DispatchRecord {
+        batch: r.u64()?,
+        worker: r.str()?,
+        trials: r.u64()?,
+        redispatched: r.bool()?,
+    })
 }
 
 impl fmt::Display for CampaignReport {
@@ -789,6 +711,67 @@ mod tests {
         let bytes = w.into_bytes();
         let err = CampaignReport::decode(&mut WireReader::new(&bytes)).unwrap_err();
         assert_eq!(err, WireError::BadTag(99));
+    }
+
+    #[test]
+    fn sequence_bounds_are_the_smallest_elements_wire_size() {
+        fn size_of<T>(encode: fn(&mut WireWriter, &T), elem: &T) -> usize {
+            let mut w = WireWriter::new();
+            encode(&mut w, elem);
+            w.len()
+        }
+        let target = TargetReport {
+            target: InjectionTarget::Rob,
+            counts: OutcomeCounts::default(),
+            ace_avf: 0.0,
+            residual: 0.0,
+        };
+        let batch = BatchProgress {
+            batch: 0,
+            trials: 0,
+            cumulative: 0,
+            widest: InjectionTarget::Rob,
+            max_half_width: 0.0,
+        };
+        let provision = WorkerProvision {
+            worker: String::new(),
+            source: StoreSource::Cached,
+        };
+        let dispatch = DispatchRecord {
+            batch: 0,
+            worker: String::new(),
+            trials: 0,
+            redispatched: false,
+        };
+        assert_eq!(size_of(encode_target, &target), TARGET_MIN_BYTES);
+        assert_eq!(size_of(encode_batch, &batch), BATCH_MIN_BYTES);
+        assert_eq!(size_of(encode_provision, &provision), PROVISION_MIN_BYTES);
+        assert_eq!(size_of(encode_dispatch, &dispatch), DISPATCH_MIN_BYTES);
+    }
+
+    #[test]
+    fn report_decode_bounds_counts_by_element_size() {
+        // A target count the remaining bytes could only hold at one byte
+        // per element must fail before anything is reserved.
+        let mut w = WireWriter::new();
+        w.str("p");
+        w.u64(1);
+        w.code(&FaultModel::ALL, FaultModel::Trap);
+        w.u64(0);
+        w.usize(1);
+        GoldenRun {
+            cycles: 0,
+            committed: 0,
+            digest: 0,
+        }
+        .encode(&mut w);
+        w.usize(64);
+        w.bytes(&[0u8; 64]);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            CampaignReport::decode(&mut WireReader::new(&bytes)).map(|_| ()),
+            Err(WireError::Truncated)
+        );
     }
 
     #[test]

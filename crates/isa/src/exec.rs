@@ -28,17 +28,17 @@ pub struct Outcome {
     pub halted: bool,
 }
 
+/// Wire table of an outcome's access width (no access, then the widths).
+const ACCESS_SIZES: [Option<AccessSize>; 3] =
+    [None, Some(AccessSize::Word), Some(AccessSize::Quad)];
+
 impl Outcome {
     /// Serializes the outcome for checkpoint snapshots.
     pub fn encode(&self, w: &mut WireWriter) {
         w.u32(self.next_pc);
         w.bool(self.taken);
-        w.opt_u64(self.ea);
-        match self.size {
-            None => w.u8(0),
-            Some(AccessSize::Word) => w.u8(1),
-            Some(AccessSize::Quad) => w.u8(2),
-        }
+        w.opt(self.ea, WireWriter::u64);
+        w.code(&ACCESS_SIZES, self.size);
         w.u64(self.value);
         w.bool(self.halted);
     }
@@ -52,13 +52,8 @@ impl Outcome {
         Ok(Outcome {
             next_pc: r.u32()?,
             taken: r.bool()?,
-            ea: r.opt_u64()?,
-            size: match r.u8()? {
-                0 => None,
-                1 => Some(AccessSize::Word),
-                2 => Some(AccessSize::Quad),
-                t => return Err(WireError::BadTag(t)),
-            },
+            ea: r.opt(WireReader::u64)?,
+            size: r.code(&ACCESS_SIZES)?,
             value: r.u64()?,
             halted: r.bool()?,
         })

@@ -123,11 +123,10 @@ impl Memory {
     pub fn encode(&self, w: &mut WireWriter) {
         let mut page_ids: Vec<u64> = self.pages.keys().copied().collect();
         page_ids.sort_unstable();
-        w.usize(page_ids.len());
-        for id in page_ids {
+        w.seq(page_ids, |w, id| {
             w.u64(id);
             w.bytes(&self.pages[&id][..]);
-        }
+        });
     }
 
     /// Decodes a memory image written by [`Memory::encode`].
@@ -136,16 +135,16 @@ impl Memory {
     ///
     /// Returns a [`WireError`] on truncated input.
     pub fn decode(r: &mut WireReader<'_>) -> Result<Memory, WireError> {
-        let n = r.seq_len(8 + PAGE_SIZE)?;
-        let mut pages = HashMap::with_capacity(n);
-        for _ in 0..n {
+        let pages = r.seq(8 + PAGE_SIZE, |r| {
             let id = r.u64()?;
             let bytes = r.bytes(PAGE_SIZE)?;
             let page: Box<[u8; PAGE_SIZE]> =
                 Box::new(bytes.try_into().expect("exact page-size slice"));
-            pages.insert(id, page);
-        }
-        Ok(Memory { pages })
+            Ok((id, page))
+        })?;
+        Ok(Memory {
+            pages: pages.into_iter().collect(),
+        })
     }
 
     /// Writes `buf` starting at `addr`.

@@ -129,21 +129,6 @@ impl Opcode {
         Opcode::Halt,
     ];
 
-    /// Stable single-byte code used by the wire program codec.
-    #[must_use]
-    pub fn wire_code(self) -> u8 {
-        Opcode::ALL
-            .iter()
-            .position(|&op| op == self)
-            .expect("every opcode is in ALL") as u8
-    }
-
-    /// Inverse of [`Opcode::wire_code`].
-    #[must_use]
-    pub fn from_wire_code(code: u8) -> Option<Opcode> {
-        Opcode::ALL.get(usize::from(code)).copied()
-    }
-
     /// The functional class this opcode belongs to.
     #[must_use]
     pub fn class(self) -> OpClass {

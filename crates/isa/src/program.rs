@@ -157,9 +157,8 @@ impl Program {
     /// the decoder needs nothing but the bytes.
     pub fn encode(&self, w: &mut WireWriter) {
         w.str(&self.name);
-        w.usize(self.insts.len());
-        for inst in &self.insts {
-            w.u8(inst.op.wire_code());
+        w.seq(&self.insts, |w, inst| {
+            w.code(&Opcode::ALL, inst.op);
             w.u8(inst.dest.number());
             w.u8(inst.src1.number());
             match inst.src2 {
@@ -174,10 +173,9 @@ impl Program {
             }
             w.i32(inst.disp);
             w.u32(inst.target);
-        }
+        });
         w.u64(self.data.base);
-        w.usize(self.data.bytes.len());
-        w.bytes(&self.data.bytes);
+        w.blob(&self.data.bytes);
         w.u32(self.entry);
     }
 
@@ -192,13 +190,10 @@ impl Program {
     pub fn decode(r: &mut WireReader<'_>) -> Result<Program, WireError> {
         let name = r.str()?;
         // An instruction occupies at least 12 bytes on the wire.
-        let n_insts = r.seq_len(12)?;
         let reg =
             |n: u8| Reg::new(n).map_err(|_| WireError::Invalid("register number out of range"));
-        let mut insts = Vec::with_capacity(n_insts);
-        for _ in 0..n_insts {
-            let code = r.u8()?;
-            let op = Opcode::from_wire_code(code).ok_or(WireError::BadTag(code))?;
+        let insts = r.seq(12, |r| {
+            let op = r.code(&Opcode::ALL)?;
             let dest = reg(r.u8()?)?;
             let src1 = reg(r.u8()?)?;
             let src2 = match r.u8()? {
@@ -206,18 +201,17 @@ impl Program {
                 1 => Operand::Imm(r.i16()?),
                 t => return Err(WireError::BadTag(t)),
             };
-            insts.push(Inst {
+            Ok(Inst {
                 op,
                 dest,
                 src1,
                 src2,
                 disp: r.i32()?,
                 target: r.u32()?,
-            });
-        }
+            })
+        })?;
         let base = r.u64()?;
-        let n_data = r.seq_len(1)?;
-        let bytes = r.bytes(n_data)?.to_vec();
+        let bytes = r.blob()?.to_vec();
         let entry = r.u32()?;
         Program::new(name, insts, DataSegment { base, bytes }, entry)
             .map_err(|_| WireError::Invalid("program failed structural validation"))

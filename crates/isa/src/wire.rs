@@ -1,16 +1,33 @@
-//! Minimal binary codec for checkpoint serialization.
+//! The workspace's one wire codec idiom.
 //!
-//! The fault-injection engine periodically serializes complete pipeline
-//! snapshots so a campaign can restore the nearest checkpoint instead of
-//! re-simulating the fault-free prefix (and, eventually, ship checkpoints
-//! across machines). The container is fully offline, so this is a small
-//! hand-rolled little-endian format rather than a serde backend: fixed-width
-//! scalars, `u8`-tagged options, and length-prefixed sequences.
+//! Everything that crosses a process boundary — checkpoint snapshots,
+//! campaign and search protocol frames, broker requests and replies,
+//! durable-log records — is a little-endian byte blob built from the
+//! same few pieces on [`WireWriter`]/[`WireReader`]:
 //!
-//! The format is *internal*: both ends are the same build of this
-//! workspace, reconstructing geometry-dependent state from the same
-//! `MachineConfig` and `Program`. A leading version byte guards against
-//! accidentally mixing checkpoint blobs across incompatible builds.
+//! * fixed-width scalars (`u8`..`u64`, `i16`, `i32`, bit-exact `f64`,
+//!   `bool`, `usize` as `u64`) and length-prefixed UTF-8 strings;
+//! * [`WireWriter::seq`]/[`WireReader::seq`]: a `u64` count, then each
+//!   element. The reader bounds the count by the bytes left and the
+//!   element's wire minimum *before* allocating, so a hostile count
+//!   fails typed instead of reserving gigabytes;
+//! * [`WireWriter::opt`]/[`WireReader::opt`]: a 0/1 tag, then the value;
+//! * [`WireWriter::blob`]/[`WireReader::blob`]: length-prefixed bytes;
+//! * [`WireWriter::code`]/[`WireReader::code`]: a C-like enum as its
+//!   position in a declaration-order `&'static [T]` table — an unknown
+//!   code is [`WireError::BadTag`];
+//! * [`WireWriter::frame`]/[`WireReader::frame`] (and
+//!   [`WireReader::frame_any`] for a direction with many kinds): the
+//!   self-describing envelope ([`WIRE_MAGIC`], [`WIRE_VERSION`], a
+//!   [`kind`] byte) around one body, with the reader enforcing that the
+//!   body consumed every byte.
+//!
+//! Body codecs are plain `encode(&self, &mut WireWriter)` /
+//! `decode(&mut WireReader, ..context)` functions, not traits: several
+//! need decoding context (the program a snapshot re-fetches from, the
+//! cache geometry it rebuilds onto). Both ends are the same build of
+//! this workspace, so the format carries no schema; any layout change
+//! bumps [`WIRE_VERSION`].
 
 use std::fmt;
 
@@ -197,6 +214,22 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Position of `value` in its wire `table`: the code
+/// [`WireWriter::code`] writes for it.
+///
+/// # Panics
+///
+/// Panics if `value` is missing from `table` — a table must list every
+/// variant of its enum.
+#[must_use]
+pub fn code_of<T: PartialEq>(table: &[T], value: T) -> u8 {
+    let index = table
+        .iter()
+        .position(|t| *t == value)
+        .expect("every variant is in its wire table");
+    u8::try_from(index).expect("wire tables hold at most 256 entries")
+}
+
 /// Append-only encoder over a byte vector.
 #[derive(Debug, Default)]
 pub struct WireWriter {
@@ -208,6 +241,21 @@ impl WireWriter {
     #[must_use]
     pub fn new() -> WireWriter {
         WireWriter::default()
+    }
+
+    /// Encodes one enveloped frame: [`WIRE_MAGIC`], the build's
+    /// [`WIRE_VERSION`], the `kind` byte (see [`kind`]), then whatever
+    /// `body` writes. Every blob that can cross a process or machine
+    /// boundary is one, so stale, truncated, or foreign payloads are
+    /// rejected with a typed error before any body field is touched.
+    #[must_use]
+    pub fn frame(kind: u8, body: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.buf.extend_from_slice(&WIRE_MAGIC);
+        w.buf.push(WIRE_VERSION);
+        w.buf.push(kind);
+        body(&mut w);
+        w.buf
     }
 
     /// Finishes encoding and returns the bytes.
@@ -226,17 +274,6 @@ impl WireWriter {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
-    }
-
-    /// Opens a self-describing envelope: [`WIRE_MAGIC`], the build's
-    /// [`WIRE_VERSION`], and the payload's `kind` byte (see [`kind`]).
-    /// Every blob that can cross a process or machine boundary starts
-    /// with one, so stale, truncated, or foreign payloads are rejected
-    /// with a typed error before any payload field is touched.
-    pub fn envelope(&mut self, kind: u8) {
-        self.buf.extend_from_slice(&WIRE_MAGIC);
-        self.buf.push(WIRE_VERSION);
-        self.buf.push(kind);
     }
 
     /// Writes one byte.
@@ -277,8 +314,7 @@ impl WireWriter {
 
     /// Writes a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        self.bytes(s.as_bytes());
+        self.blob(s.as_bytes());
     }
 
     /// Writes a `bool` as one byte.
@@ -292,26 +328,46 @@ impl WireWriter {
         self.u64(v as u64);
     }
 
-    /// Writes an optional `u32` as a tag byte plus payload.
-    pub fn opt_u32(&mut self, v: Option<u32>) {
-        match v {
+    /// Writes a C-like enum value as its position in `table` (see
+    /// [`code_of`]).
+    pub fn code<T: PartialEq>(&mut self, table: &[T], value: T) {
+        self.u8(code_of(table, value));
+    }
+
+    /// Writes an option: tag byte 0 for `None`, or 1 followed by what
+    /// `some` writes for the value.
+    pub fn opt<T>(&mut self, value: Option<T>, some: impl FnOnce(&mut WireWriter, T)) {
+        match value {
             None => self.u8(0),
-            Some(x) => {
+            Some(v) => {
                 self.u8(1);
-                self.u32(x);
+                some(self, v);
             }
         }
     }
 
-    /// Writes an optional `u64` as a tag byte plus payload.
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
+    /// Writes a length-prefixed sequence: the element count as a `u64`,
+    /// then what `elem` writes for each item. The count is patched in
+    /// after the items, so any iterator works (a filter included).
+    pub fn seq<I: IntoIterator>(
+        &mut self,
+        items: I,
+        mut elem: impl FnMut(&mut WireWriter, I::Item),
+    ) {
+        let at = self.buf.len();
+        self.u64(0);
+        let mut count = 0u64;
+        for item in items {
+            elem(self, item);
+            count += 1;
         }
+        self.buf[at..at + 8].copy_from_slice(&count.to_le_bytes());
+    }
+
+    /// Writes length-prefixed raw bytes.
+    pub fn blob(&mut self, v: &[u8]) {
+        self.usize(v.len());
+        self.bytes(v);
     }
 
     /// Writes raw bytes (caller is responsible for length framing).
@@ -334,6 +390,51 @@ impl<'a> WireReader<'a> {
         WireReader { buf, pos: 0 }
     }
 
+    /// Decodes one frame of kind `expected` written by
+    /// [`WireWriter::frame`]: validates the envelope, decodes the body
+    /// with `body`, and requires it to consume every byte.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::WrongKind`] for any other kind, the
+    /// envelope's magic/version error, or the body's error.
+    pub fn frame<T>(
+        bytes: &'a [u8],
+        expected: u8,
+        body: impl FnOnce(&mut WireReader<'a>) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        WireReader::frame_any(bytes, expected, |kind, r| {
+            if kind == expected {
+                body(r).map(Some)
+            } else {
+                Ok(None)
+            }
+        })
+    }
+
+    /// Decodes one frame of any kind a message direction accepts:
+    /// validates the envelope, hands its kind and the body to `body`,
+    /// and requires the body to consume every byte. `body` answers
+    /// `Ok(None)` for a kind it does not accept, which becomes
+    /// [`WireError::WrongKind`] naming `expected` (the direction's
+    /// representative kind).
+    ///
+    /// # Errors
+    ///
+    /// Returns the envelope's magic/version error, `WrongKind`, or the
+    /// body's error.
+    pub fn frame_any<T>(
+        bytes: &'a [u8],
+        expected: u8,
+        body: impl FnOnce(u8, &mut WireReader<'a>) -> Result<Option<T>, WireError>,
+    ) -> Result<T, WireError> {
+        let mut r = WireReader::new(bytes);
+        let found = r.envelope()?;
+        let value = body(found, &mut r)?.ok_or(WireError::WrongKind { found, expected })?;
+        r.finish()?;
+        Ok(value)
+    }
+
     /// Bytes remaining.
     #[must_use]
     pub fn remaining(&self) -> usize {
@@ -349,11 +450,11 @@ impl<'a> WireReader<'a> {
         Ok(s)
     }
 
-    /// Validates an envelope written by [`WireWriter::envelope`] and
-    /// returns its kind byte. Checks run outermost-first, so the error
-    /// names the most fundamental mismatch: not-ours ([`WireError::BadMagic`]),
-    /// then incompatible build ([`WireError::UnsupportedVersion`]).
-    pub fn envelope(&mut self) -> Result<u8, WireError> {
+    /// Validates an envelope and returns its kind byte. Checks run
+    /// outermost-first, so the error names the most fundamental
+    /// mismatch: not-ours ([`WireError::BadMagic`]), then incompatible
+    /// build ([`WireError::UnsupportedVersion`]).
+    fn envelope(&mut self) -> Result<u8, WireError> {
         let magic: [u8; 4] = self.take(4)?.try_into().expect("4");
         if magic != WIRE_MAGIC {
             return Err(WireError::BadMagic(magic));
@@ -366,16 +467,6 @@ impl<'a> WireReader<'a> {
             });
         }
         self.u8()
-    }
-
-    /// [`WireReader::envelope`] that additionally requires the kind
-    /// byte to be `expected`, failing with [`WireError::WrongKind`].
-    pub fn expect_envelope(&mut self, expected: u8) -> Result<(), WireError> {
-        let found = self.envelope()?;
-        if found != expected {
-            return Err(WireError::WrongKind { found, expected });
-        }
-        Ok(())
     }
 
     /// Reads one byte.
@@ -415,18 +506,13 @@ impl<'a> WireReader<'a> {
 
     /// Reads a string written by [`WireWriter::str`].
     pub fn str(&mut self) -> Result<String, WireError> {
-        let len = self.seq_len(1)?;
-        let bytes = self.bytes(len)?;
+        let bytes = self.blob()?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Invalid("string is not UTF-8"))
     }
 
     /// Reads a `bool` byte (0 or 1).
     pub fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            t => Err(WireError::BadTag(t)),
-        }
+        self.code(&[false, true])
     }
 
     /// Reads a `usize` written by [`WireWriter::usize`].
@@ -435,35 +521,74 @@ impl<'a> WireReader<'a> {
         usize::try_from(v).map_err(|_| WireError::Invalid("usize overflow"))
     }
 
-    /// Reads a sequence length and validates it against the bytes left
-    /// in the input (each element occupies at least `min_elem_bytes` on
-    /// the wire). Decoders must use this before `with_capacity`-style
-    /// pre-allocation so a corrupt count field fails with a
-    /// [`WireError`] instead of a capacity-overflow abort.
-    pub fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
+    /// Reads a C-like enum value written by [`WireWriter::code`] over
+    /// the same `table`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::BadTag`] for a code past the table.
+    pub fn code<T: Copy>(&mut self, table: &[T]) -> Result<T, WireError> {
+        let code = self.u8()?;
+        table
+            .get(usize::from(code))
+            .copied()
+            .ok_or(WireError::BadTag(code))
+    }
+
+    /// Reads an option written by [`WireWriter::opt`], decoding a
+    /// present value with `some`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::BadTag`] for a tag other than 0 or 1, or
+    /// the value's error.
+    pub fn opt<T>(
+        &mut self,
+        some: impl FnOnce(&mut WireReader<'a>) -> Result<T, WireError>,
+    ) -> Result<Option<T>, WireError> {
+        if self.bool()? {
+            some(self).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// Reads a sequence written by [`WireWriter::seq`], decoding each
+    /// element with `elem`. Every element occupies at least
+    /// `min_elem_bytes` on the wire, so a count the remaining input
+    /// cannot hold fails with [`WireError::Truncated`] *before* the
+    /// result is allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns `Truncated` on an impossible count, or the first
+    /// element's error.
+    pub fn seq<T>(
+        &mut self,
+        min_elem_bytes: usize,
+        mut elem: impl FnMut(&mut WireReader<'a>) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let n = self.count(min_elem_bytes)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(elem(self)?);
+        }
+        Ok(out)
+    }
+
+    /// Reads length-prefixed bytes written by [`WireWriter::blob`].
+    pub fn blob(&mut self) -> Result<&'a [u8], WireError> {
+        let len = self.count(1)?;
+        self.take(len)
+    }
+
+    /// Reads a sequence count, bounded by the input left.
+    fn count(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
         let n = self.usize()?;
         if n > self.remaining() / min_elem_bytes.max(1) {
             return Err(WireError::Truncated);
         }
         Ok(n)
-    }
-
-    /// Reads an optional `u32`.
-    pub fn opt_u32(&mut self) -> Result<Option<u32>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u32()?)),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-
-    /// Reads an optional `u64`.
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            t => Err(WireError::BadTag(t)),
-        }
     }
 
     /// Reads exactly `n` raw bytes.
@@ -495,9 +620,9 @@ mod tests {
         w.i32(-12345);
         w.bool(true);
         w.usize(99);
-        w.opt_u32(None);
-        w.opt_u32(Some(5));
-        w.opt_u64(Some(1 << 40));
+        w.opt(None, WireWriter::u32);
+        w.opt(Some(5), WireWriter::u32);
+        w.opt(Some(1 << 40), WireWriter::u64);
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
@@ -507,10 +632,18 @@ mod tests {
         assert_eq!(r.i32().unwrap(), -12345);
         assert!(r.bool().unwrap());
         assert_eq!(r.usize().unwrap(), 99);
-        assert_eq!(r.opt_u32().unwrap(), None);
-        assert_eq!(r.opt_u32().unwrap(), Some(5));
-        assert_eq!(r.opt_u64().unwrap(), Some(1 << 40));
+        assert_eq!(r.opt(WireReader::u32).unwrap(), None);
+        assert_eq!(r.opt(WireReader::u32).unwrap(), Some(5));
+        assert_eq!(r.opt(WireReader::u64).unwrap(), Some(1 << 40));
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn option_layout_is_a_tag_then_the_value() {
+        let mut w = WireWriter::new();
+        w.opt(None, WireWriter::u32);
+        w.opt(Some(0x0102_0304), WireWriter::u32);
+        assert_eq!(w.into_bytes(), [0, 1, 4, 3, 2, 1]);
     }
 
     #[test]
@@ -541,7 +674,52 @@ mod tests {
         let bytes = [2u8];
         assert_eq!(WireReader::new(&bytes).bool(), Err(WireError::BadTag(2)),);
         let bytes = [9u8, 0, 0, 0, 0];
-        assert_eq!(WireReader::new(&bytes).opt_u32(), Err(WireError::BadTag(9)),);
+        assert_eq!(
+            WireReader::new(&bytes).opt(WireReader::u32),
+            Err(WireError::BadTag(9)),
+        );
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Color {
+        Red,
+        Green,
+        Blue,
+    }
+
+    const COLORS: [Color; 3] = [Color::Red, Color::Green, Color::Blue];
+
+    #[test]
+    fn enum_codes_are_table_positions() {
+        let mut w = WireWriter::new();
+        for c in COLORS {
+            w.code(&COLORS, c);
+        }
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, [0, 1, 2]);
+        let mut r = WireReader::new(&bytes);
+        for c in COLORS {
+            assert_eq!(r.code(&COLORS).unwrap(), c);
+        }
+        r.finish().unwrap();
+        assert_eq!(code_of(&COLORS, Color::Blue), 2);
+        assert_eq!(
+            WireReader::new(&[3]).code(&COLORS),
+            Err(WireError::BadTag(3))
+        );
+    }
+
+    #[test]
+    fn seq_writes_a_count_then_the_elements() {
+        let mut w = WireWriter::new();
+        // Any iterator, even one whose length is unknown up front.
+        w.seq((0u32..10).filter(|v| v % 3 == 0), WireWriter::u32);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 8 + 4 * 4);
+        assert_eq!(bytes[..8], 4u64.to_le_bytes());
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(r.seq(4, WireReader::u32).unwrap(), [0, 3, 6, 9]);
+        r.finish().unwrap();
     }
 
     #[test]
@@ -551,58 +729,110 @@ mod tests {
         w.bytes(&[0u8; 12]); // 3 elements × 4 bytes
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.seq_len(4).unwrap(), 3);
+        assert_eq!(r.seq(4, WireReader::u32).unwrap().len(), 3);
+
+        // A count the input cannot hold at the element's wire minimum
+        // fails before anything is decoded or allocated.
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(r.seq(5, WireReader::u32), Err(WireError::Truncated));
 
         // A corrupt count far beyond the input must error, not allocate.
         let mut w = WireWriter::new();
         w.u64(u64::MAX - 1);
         let bytes = w.into_bytes();
         assert_eq!(
-            WireReader::new(&bytes).seq_len(4),
+            WireReader::new(&bytes).seq(4, WireReader::u32),
+            Err(WireError::Truncated)
+        );
+    }
+
+    #[test]
+    fn blobs_round_trip_and_bound_their_length() {
+        let mut w = WireWriter::new();
+        w.blob(b"abc");
+        w.blob(b"");
+        let bytes = w.into_bytes();
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(r.blob().unwrap(), b"abc");
+        assert_eq!(r.blob().unwrap(), b"");
+        r.finish().unwrap();
+
+        let mut w = WireWriter::new();
+        w.usize(4);
+        w.bytes(b"abc");
+        assert_eq!(
+            WireReader::new(&w.into_bytes()).blob(),
             Err(WireError::Truncated)
         );
     }
 
     #[test]
     fn envelope_round_trips() {
-        let mut w = WireWriter::new();
-        w.envelope(kind::TRIAL_EVENT);
-        w.u32(7);
-        let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
-        assert_eq!(r.envelope().unwrap(), kind::TRIAL_EVENT);
-        assert_eq!(r.u32().unwrap(), 7);
-        r.finish().unwrap();
-
-        let mut r = WireReader::new(&bytes);
-        r.expect_envelope(kind::TRIAL_EVENT).unwrap();
-        let mut r = WireReader::new(&bytes);
+        let bytes = WireWriter::frame(kind::TRIAL_EVENT, |w| w.u32(7));
+        assert_eq!(bytes[..4], WIRE_MAGIC);
+        assert_eq!(bytes[4], WIRE_VERSION);
+        assert_eq!(bytes[5], kind::TRIAL_EVENT);
+        assert_eq!(bytes.len(), ENVELOPE_BYTES + 4);
         assert_eq!(
-            r.expect_envelope(kind::JOB_SETUP),
+            WireReader::frame(&bytes, kind::TRIAL_EVENT, WireReader::u32),
+            Ok(7)
+        );
+        assert_eq!(
+            WireReader::frame(&bytes, kind::JOB_SETUP, WireReader::u32),
             Err(WireError::WrongKind {
                 found: kind::TRIAL_EVENT,
                 expected: kind::JOB_SETUP,
             })
         );
+        // A direction accepting several kinds sees which one arrived.
+        let any = |bytes: &[u8]| {
+            WireReader::frame_any(bytes, kind::BATCH_DONE, |k, r| {
+                Ok(match k {
+                    kind::TRIAL_EVENT => Some(r.u32()?),
+                    kind::BATCH_DONE => Some(0),
+                    _ => None,
+                })
+            })
+        };
+        assert_eq!(any(&bytes), Ok(7));
+        assert_eq!(any(&WireWriter::frame(kind::BATCH_DONE, |_| {})), Ok(0));
+        assert_eq!(
+            any(&WireWriter::frame(kind::MUX, |_| {})),
+            Err(WireError::WrongKind {
+                found: kind::MUX,
+                expected: kind::BATCH_DONE,
+            })
+        );
+    }
+
+    #[test]
+    fn frames_reject_trailing_bytes() {
+        let mut bytes = WireWriter::frame(kind::BATCH_DONE, |w| w.u64(1));
+        bytes.push(0);
+        assert_eq!(
+            WireReader::frame(&bytes, kind::BATCH_DONE, WireReader::u64),
+            Err(WireError::Invalid("trailing bytes after decode"))
+        );
     }
 
     #[test]
     fn envelope_rejects_garbage_and_version_skew() {
+        let decode = |bytes: &[u8]| WireReader::frame(bytes, kind::SNAPSHOT, |_| Ok(()));
         // Garbage: not our magic at all.
         let garbage = [0xDEu8, 0xAD, 0xBE, 0xEF, 1, 1];
         assert_eq!(
-            WireReader::new(&garbage).envelope(),
+            decode(&garbage),
             Err(WireError::BadMagic([0xDE, 0xAD, 0xBE, 0xEF]))
         );
         // Truncated: magic cut short.
-        assert_eq!(WireReader::new(b"AV").envelope(), Err(WireError::Truncated));
+        assert_eq!(decode(b"AV"), Err(WireError::Truncated));
         // A stale blob from a hypothetical older build: right magic,
         // wrong version.
         let mut stale = Vec::from(WIRE_MAGIC);
         stale.push(WIRE_VERSION + 1);
         stale.push(kind::SNAPSHOT);
         assert_eq!(
-            WireReader::new(&stale).envelope(),
+            decode(&stale),
             Err(WireError::UnsupportedVersion {
                 found: WIRE_VERSION + 1,
                 expected: WIRE_VERSION,

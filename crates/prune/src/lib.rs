@@ -39,7 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use avf_isa::wire::{WireError, WireReader, WireWriter};
+use avf_isa::wire::{code_of, WireError, WireReader, WireWriter};
 use avf_isa::{AccessSize, Opcode, Program};
 use avf_sim::{FaultModel, InjectionTarget, MachineConfig, PruneEvidence};
 
@@ -60,6 +60,9 @@ pub enum PruneMode {
 }
 
 impl PruneMode {
+    /// Every mode, in wire-code order.
+    pub const ALL: [PruneMode; 3] = [PruneMode::Off, PruneMode::On, PruneMode::Audit];
+
     /// Short name used in reports and on the CLI.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -210,82 +213,68 @@ impl TargetPrune {
         let live_bits = u64::from(self.entry_bits) - static_bits;
         self.total = span * self.entries * u64::from(self.entry_bits);
         let mut pruned = span * self.entries * static_bits;
+        // Saturating window bounds and sums: a decoded map is hostile
+        // input until `PruneMap::decode` has checked these masses.
         for w in 0..self.occ_max.len().max(self.dead_windows.len()) {
-            let lo = (w as u64) * window + 1;
+            let lo = (w as u64).saturating_mul(window).saturating_add(1);
             if lo > span {
                 break;
             }
-            let hi = span.min((w as u64 + 1) * window);
+            let hi = span.min((w as u64 + 1).saturating_mul(window));
             let n = hi - lo + 1;
             if let Some(&occ) = self.occ_max.get(w) {
-                pruned += n * self.entries.saturating_sub(occ) * live_bits;
+                pruned = pruned.saturating_add(n * self.entries.saturating_sub(occ) * live_bits);
             }
             if let Some(dead) = self.dead_windows.get(w) {
                 let dead_entries: u64 = dead.iter().map(|d| u64::from(d.count_ones())).sum();
-                pruned += n * dead_entries.min(self.entries) * live_bits;
+                pruned = pruned.saturating_add(n * dead_entries.min(self.entries) * live_bits);
             }
         }
         self.pruned = pruned;
     }
 
     fn encode(&self, w: &mut WireWriter) {
-        w.u8(self.target.wire_code());
+        w.code(&InjectionTarget::ALL, self.target);
         w.u64(self.entries);
         w.u32(self.entry_bits);
         for mask in [&self.padding_mask, &self.narrow_mask] {
-            w.usize(mask.len());
-            for word in mask {
-                w.u64(*word);
-            }
+            w.seq(mask, |w, &word| w.u64(word));
         }
-        w.usize(self.occ_max.len());
-        for occ in &self.occ_max {
-            w.u64(*occ);
-        }
-        w.usize(self.dead_windows.len());
-        for dead in &self.dead_windows {
-            w.usize(dead.len());
-            for word in dead {
-                w.u64(*word);
-            }
-        }
+        w.seq(&self.occ_max, |w, &occ| w.u64(occ));
+        w.seq(&self.dead_windows, |w, dead| {
+            w.seq(dead, |w, &word| w.u64(word));
+        });
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<TargetPrune, WireError> {
-        let code = r.u8()?;
-        let target = InjectionTarget::from_wire_code(code).ok_or(WireError::BadTag(code))?;
+        let target = r.code(&InjectionTarget::ALL)?;
         let entries = r.u64()?;
         let entry_bits = r.u32()?;
         let mut masks = [Vec::new(), Vec::new()];
         let words = (entry_bits as usize).div_ceil(64);
+        // Bits past the entry width must be clear, or the finalized
+        // masses would count more static bits than an entry has.
+        let past_width = match entry_bits % 64 {
+            0 => 0,
+            used => !0u64 << used,
+        };
         for mask in &mut masks {
-            let n = r.seq_len(8)?;
-            if n != 0 && n != words {
+            *mask = r.seq(8, WireReader::u64)?;
+            let sized = mask.is_empty() || mask.len() == words;
+            if !sized || mask.last().is_some_and(|last| last & past_width != 0) {
                 return Err(WireError::Invalid("prune mask does not match geometry"));
-            }
-            for _ in 0..n {
-                mask.push(r.u64()?);
             }
         }
         let [padding_mask, narrow_mask] = masks;
-        let n_occ = r.seq_len(8)?;
-        let mut occ_max = Vec::with_capacity(n_occ);
-        for _ in 0..n_occ {
-            occ_max.push(r.u64()?);
-        }
-        let n_dead = r.seq_len(8)?;
-        let mut dead_windows = Vec::with_capacity(n_dead);
-        for _ in 0..n_dead {
-            let n = r.seq_len(8)?;
-            if n != (entries as usize).div_ceil(64) {
+        let occ_max = r.seq(8, WireReader::u64)?;
+        let bitmap_words = (entries as usize).div_ceil(64);
+        let dead_windows = r.seq(8, |r| {
+            let dead = r.seq(8, WireReader::u64)?;
+            if dead.len() != bitmap_words {
                 return Err(WireError::Invalid("prune bitmap does not match geometry"));
             }
-            let mut dead = Vec::with_capacity(n);
-            for _ in 0..n {
-                dead.push(r.u64()?);
-            }
-            dead_windows.push(dead);
-        }
+            Ok(dead)
+        })?;
         Ok(TargetPrune {
             target,
             entries,
@@ -452,7 +441,7 @@ impl PruneMap {
     /// The target's stratification record.
     #[must_use]
     pub fn of(&self, target: InjectionTarget) -> &TargetPrune {
-        &self.targets[usize::from(target.wire_code())]
+        &self.targets[usize::from(code_of(&InjectionTarget::ALL, target))]
     }
 
     /// Residual fraction of the target's site space.
@@ -510,10 +499,7 @@ impl PruneMap {
     pub fn encode(&self, w: &mut WireWriter) {
         w.u64(self.window);
         w.u64(self.cycles);
-        w.usize(self.targets.len());
-        for t in &self.targets {
-            t.encode(w);
-        }
+        w.seq(&self.targets, |w, t| t.encode(w));
     }
 
     /// Decodes a map written by [`PruneMap::encode`], revalidating the
@@ -530,18 +516,29 @@ impl PruneMap {
             return Err(WireError::Invalid("prune window must be positive"));
         }
         let cycles = r.u64()?;
-        let n = r.seq_len(10)?;
-        if n != InjectionTarget::ALL.len() {
-            return Err(WireError::Invalid("prune map must cover every target"));
-        }
-        let mut targets = Vec::with_capacity(n);
-        for expected in InjectionTarget::ALL {
+        let uncovered = WireError::Invalid("prune map must cover every target");
+        let mut order = InjectionTarget::ALL.into_iter();
+        let targets = r.seq(10, |r| {
+            let expected = order.next().ok_or(uncovered.clone())?;
             let mut t = TargetPrune::decode(r)?;
             if t.target != expected {
                 return Err(WireError::Invalid("prune map targets out of order"));
             }
+            let sites = cycles
+                .saturating_sub(1)
+                .checked_mul(t.entries)
+                .and_then(|s| s.checked_mul(u64::from(t.entry_bits)));
+            if sites.is_none() {
+                return Err(WireError::Invalid("prune map site space overflows"));
+            }
             t.finalize(cycles, window);
-            targets.push(t);
+            if t.pruned > t.total {
+                return Err(WireError::Invalid("prune map prunes more sites than exist"));
+            }
+            Ok(t)
+        })?;
+        if targets.len() != InjectionTarget::ALL.len() {
+            return Err(uncovered);
         }
         Ok(PruneMap {
             window,
@@ -649,6 +646,42 @@ mod tests {
             let mut r = WireReader::new(&bytes[..bytes.len() / 2]);
             assert!(PruneMap::decode(&mut r).is_err());
         }
+    }
+
+    #[test]
+    fn decode_rejects_masses_that_cannot_exist() {
+        let decode = |map: &PruneMap| {
+            let mut w = WireWriter::new();
+            map.encode(&mut w);
+            PruneMap::decode(&mut WireReader::new(&w.into_bytes())).map(drop)
+        };
+        let (_, map) = build_for(FaultModel::Replay);
+        // A site space past u64 would overflow the stratum masses.
+        let mut huge = map.clone();
+        huge.targets[0].entries = u64::MAX;
+        assert_eq!(
+            decode(&huge),
+            Err(WireError::Invalid("prune map site space overflows"))
+        );
+        // Static-mask bits past the entry width would count more
+        // un-ACE bits than an entry has.
+        let mut wide = map.clone();
+        let t = &mut wide.targets[0];
+        assert_ne!(t.entry_bits % 64, 0, "the ROB entry is not word-aligned");
+        t.padding_mask = vec![u64::MAX; t.static_words()];
+        assert_eq!(
+            decode(&wide),
+            Err(WireError::Invalid("prune mask does not match geometry"))
+        );
+        // Overlapping strata may not prune more sites than exist.
+        let mut over = map;
+        let t = &mut over.targets[0];
+        t.occ_max = vec![0; 64];
+        t.dead_windows = vec![vec![u64::MAX; (t.entries as usize).div_ceil(64)]; 64];
+        assert_eq!(
+            decode(&over),
+            Err(WireError::Invalid("prune map prunes more sites than exist"))
+        );
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! client closes the connection    (clean end of search)
 //! ```
 //!
+//! The frames are variants of the campaign protocol's per-direction
+//! enums — `EVAL_BATCH` is [`ClientMessage::Eval`], `EVAL_RESULT` is
+//! [`ServerMessage::Score`], and the marker and errors are the shared
+//! `Done`/`Error` — so a worker tells the two session kinds apart by
+//! the variant its opening frame decodes to.
+//!
 //! The batch ships **knobs, not programs**: each individual is a genome,
 //! and the worker materializes the candidate itself (`Knobs::from_genome`
 //! → `generate` → `simulate` → `Fitness::score`). That keeps a generation
@@ -48,7 +54,7 @@ use avf_sim::{simulate, MachineConfig};
 use crate::auth::{read_frame_verified, AuthKey, AuthVerifier};
 use crate::fleet::{Fleet, GenomeBatches};
 use crate::frame::FrameBatcher;
-use crate::protocol::{ServerMessage, HASH_DOMAIN_EVAL};
+use crate::protocol::{ClientMessage, ServerMessage, HASH_DOMAIN_EVAL};
 use crate::server::ServeOptions;
 
 /// Derives code-generator target parameters from a machine configuration.
@@ -89,17 +95,20 @@ fn rates_code(rates: &FaultRates) -> u8 {
     }
 }
 
+/// Every fitness scope, in wire-code order.
+const SCOPES: [FitnessScope; 4] = [
+    FitnessScope::Overall,
+    FitnessScope::BitWeighted,
+    FitnessScope::Core,
+    FitnessScope::Caches,
+];
+
 fn encode_fitness(w: &mut WireWriter, fitness: &Fitness) {
     w.u8(rates_code(fitness.rates()));
     for s in Structure::ALL {
         w.f64(fitness.rates().rate(s));
     }
-    w.u8(match fitness.scope() {
-        FitnessScope::Overall => 0,
-        FitnessScope::BitWeighted => 1,
-        FitnessScope::Core => 2,
-        FitnessScope::Caches => 3,
-    });
+    w.code(&SCOPES, fitness.scope());
 }
 
 fn decode_fitness(r: &mut WireReader<'_>) -> Result<Fitness, WireError> {
@@ -122,14 +131,7 @@ fn decode_fitness(r: &mut WireReader<'_>) -> Result<Fitness, WireError> {
         }
         rates.set(s, rate);
     }
-    let scope = match r.u8()? {
-        0 => FitnessScope::Overall,
-        1 => FitnessScope::BitWeighted,
-        2 => FitnessScope::Core,
-        3 => FitnessScope::Caches,
-        t => return Err(WireError::BadTag(t)),
-    };
-    Ok(Fitness::with_scope(rates, scope))
+    Ok(Fitness::with_scope(rates, r.code(&SCOPES)?))
 }
 
 impl EvalContext {
@@ -193,51 +195,33 @@ impl EvalBatch {
     /// Serializes the batch to an enveloped frame payload.
     #[must_use]
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.envelope(kind::EVAL_BATCH);
-        self.context.encode(&mut w);
-        w.u64(self.generation);
-        w.usize(self.individuals.len());
-        for (index, genes) in &self.individuals {
-            w.u64(*index);
-            w.usize(genes.len());
-            for g in genes {
-                w.f64(*g);
-            }
-        }
-        w.into_bytes()
+        WireWriter::frame(kind::EVAL_BATCH, |w| {
+            self.context.encode(w);
+            w.u64(self.generation);
+            w.seq(&self.individuals, |w, (index, genes)| {
+                w.u64(*index);
+                w.seq(genes, |w, &g| w.f64(g));
+            });
+        })
     }
 
-    /// Decodes an `EVAL_BATCH` payload.
+    /// Decodes the body of an `EVAL_BATCH` frame.
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on envelope mismatch, truncation, or an
-    /// invalid field.
-    pub fn from_wire(bytes: &[u8]) -> Result<EvalBatch, WireError> {
-        let mut r = WireReader::new(bytes);
-        r.expect_envelope(kind::EVAL_BATCH)?;
-        let context = EvalContext::decode(&mut r)?;
-        let generation = r.u64()?;
-        let count = r.seq_len(16)?;
-        let mut individuals = Vec::with_capacity(count);
-        for _ in 0..count {
-            let index = r.u64()?;
-            let genes_len = r.seq_len(8)?;
-            if genes_len == 0 {
-                return Err(WireError::Invalid("an individual needs at least one gene"));
-            }
-            let mut genes = Vec::with_capacity(genes_len);
-            for _ in 0..genes_len {
-                genes.push(r.f64()?);
-            }
-            individuals.push((index, genes));
-        }
-        r.finish()?;
+    /// Returns a [`WireError`] on truncation or an invalid field.
+    pub fn decode(r: &mut WireReader<'_>) -> Result<EvalBatch, WireError> {
         Ok(EvalBatch {
-            context,
-            generation,
-            individuals,
+            context: EvalContext::decode(r)?,
+            generation: r.u64()?,
+            individuals: r.seq(16, |r| {
+                let index = r.u64()?;
+                let genes = r.seq(8, WireReader::f64)?;
+                if genes.is_empty() {
+                    return Err(WireError::Invalid("an individual needs at least one gene"));
+                }
+                Ok((index, genes))
+            })?,
         })
     }
 }
@@ -257,60 +241,24 @@ impl EvalScore {
     /// Serializes the score to an enveloped frame payload.
     #[must_use]
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.envelope(kind::EVAL_RESULT);
-        w.u64(self.index);
-        w.f64(self.score);
-        w.bool(self.cached);
-        w.into_bytes()
+        WireWriter::frame(kind::EVAL_RESULT, |w| {
+            w.u64(self.index);
+            w.f64(self.score);
+            w.bool(self.cached);
+        })
     }
-}
 
-/// A worker's reply frame within an evaluation session.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EvalReply {
-    /// One individual's score.
-    Score(EvalScore),
-    /// End of the generation, with the number of results streamed.
-    Done {
-        /// How many `EVAL_RESULT` frames preceded this marker.
-        results: u64,
-    },
-    /// Fatal worker-side error; the connection closes after this.
-    Error(String),
-}
-
-impl EvalReply {
-    /// Decodes any server→client evaluation frame.
+    /// Decodes the body of an `EVAL_RESULT` frame.
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on envelope mismatch, truncation, or an
-    /// unexpected frame kind.
-    pub fn from_wire(bytes: &[u8]) -> Result<EvalReply, WireError> {
-        match bytes.get(5).copied() {
-            Some(kind::EVAL_RESULT) => {
-                let mut r = WireReader::new(bytes);
-                r.expect_envelope(kind::EVAL_RESULT)?;
-                let index = r.u64()?;
-                let score = r.f64()?;
-                let cached = r.bool()?;
-                r.finish()?;
-                Ok(EvalReply::Score(EvalScore {
-                    index,
-                    score,
-                    cached,
-                }))
-            }
-            _ => match ServerMessage::from_wire(bytes)? {
-                ServerMessage::Done { events } => Ok(EvalReply::Done { results: events }),
-                ServerMessage::Error(msg) => Ok(EvalReply::Error(msg)),
-                _ => Err(WireError::WrongKind {
-                    found: bytes.get(5).copied().unwrap_or(0),
-                    expected: kind::EVAL_RESULT,
-                }),
-            },
-        }
+    /// Returns a [`WireError`] on truncation or a bad cache flag.
+    pub fn decode(r: &mut WireReader<'_>) -> Result<EvalScore, WireError> {
+        Ok(EvalScore {
+            index: r.u64()?,
+            score: r.f64()?,
+            cached: r.bool()?,
+        })
     }
 }
 
@@ -468,19 +416,18 @@ fn score_parallel(
 }
 
 /// Drives one evaluation session over one connection (worker side).
-/// `first` is the already-read opening `EVAL_BATCH` payload.
+/// `first` is the already-decoded opening `EVAL_BATCH`.
 pub(crate) fn handle_eval_session(
     stream: &TcpStream,
     reader: &mut BufReader<&TcpStream>,
     writer: &mut FrameBatcher<&TcpStream>,
-    first: Vec<u8>,
+    first: EvalBatch,
     opts: &ServeOptions,
     verifier: Option<&AuthVerifier>,
 ) -> Result<(), BackendError> {
-    let mut payload = first;
+    let mut batch = first;
     let mut served = 0u64;
     loop {
-        let batch = EvalBatch::from_wire(&payload)?;
         let fingerprint = batch.context.fingerprint();
         let mut results: Vec<EvalScore> = Vec::with_capacity(batch.individuals.len());
         let mut misses: Vec<(u64, Vec<f64>, Vec<u64>)> = Vec::new();
@@ -544,10 +491,15 @@ pub(crate) fn handle_eval_session(
             .fetch_add(results.len() as u64, Ordering::Relaxed);
         served += 1;
 
-        match read_frame_verified(reader, verifier)? {
-            Some(next) => payload = next,
-            None => return Ok(()), // clean end of search
-        }
+        let Some(next) = read_frame_verified(reader, verifier)? else {
+            return Ok(()); // clean end of search
+        };
+        let ClientMessage::Eval(next) = ClientMessage::from_wire(&next)? else {
+            return Err(BackendError::Protocol(
+                "expected an eval batch frame".to_owned(),
+            ));
+        };
+        batch = *next;
     }
 }
 
@@ -716,10 +668,18 @@ mod tests {
         }
     }
 
+    /// Decodes through the worker's one client-message entry point.
+    fn decode_batch(bytes: &[u8]) -> Result<EvalBatch, WireError> {
+        match ClientMessage::from_wire(bytes)? {
+            ClientMessage::Eval(batch) => Ok(*batch),
+            other => panic!("expected an eval batch, got {other:?}"),
+        }
+    }
+
     #[test]
     fn eval_batch_round_trips() {
         let b = batch();
-        let decoded = EvalBatch::from_wire(&b.to_wire()).expect("round trip");
+        let decoded = decode_batch(&b.to_wire()).expect("round trip");
         assert_eq!(decoded.generation, 7);
         assert_eq!(decoded.individuals.len(), 2);
         assert_eq!(decoded.individuals[1].0, 3);
@@ -740,14 +700,14 @@ mod tests {
             score: 0.123_456_789,
             cached: true,
         };
-        match EvalReply::from_wire(&s.to_wire()).expect("round trip") {
-            EvalReply::Score(got) => assert_eq!(got, s),
-            other => panic!("expected a score, got {other:?}"),
-        }
+        assert_eq!(
+            ServerMessage::from_wire(&s.to_wire()).expect("round trip"),
+            ServerMessage::Score(s)
+        );
         let done = ServerMessage::Done { events: 9 }.to_wire();
         assert_eq!(
-            EvalReply::from_wire(&done).expect("done decodes"),
-            EvalReply::Done { results: 9 }
+            ServerMessage::from_wire(&done).expect("done decodes"),
+            ServerMessage::Done { events: 9 }
         );
     }
 
@@ -757,7 +717,7 @@ mod tests {
         for cut in [1, 6, 20, bytes.len() - 1] {
             assert!(
                 matches!(
-                    EvalBatch::from_wire(&bytes[..cut]),
+                    decode_batch(&bytes[..cut]),
                     Err(WireError::Truncated | WireError::BadMagic(_))
                 ),
                 "cut at {cut} must fail typed"
@@ -766,7 +726,7 @@ mod tests {
         let mut garbage = bytes.clone();
         garbage[0] ^= 0xFF;
         assert!(matches!(
-            EvalBatch::from_wire(&garbage),
+            decode_batch(&garbage),
             Err(WireError::BadMagic(_))
         ));
         let wrong_kind = EvalScore {
@@ -776,7 +736,7 @@ mod tests {
         }
         .to_wire();
         assert!(matches!(
-            EvalBatch::from_wire(&wrong_kind),
+            decode_batch(&wrong_kind),
             Err(WireError::WrongKind { .. })
         ));
     }
@@ -789,7 +749,7 @@ mod tests {
         let mut stale = batch().to_wire();
         stale[4] = 6;
         assert!(matches!(
-            EvalBatch::from_wire(&stale),
+            decode_batch(&stale),
             Err(WireError::UnsupportedVersion {
                 found: 6,
                 expected: WIRE_VERSION,
@@ -803,7 +763,7 @@ mod tests {
         .to_wire();
         stale_reply[4] = 6;
         assert_eq!(
-            EvalReply::from_wire(&stale_reply),
+            ServerMessage::from_wire(&stale_reply),
             Err(WireError::UnsupportedVersion {
                 found: 6,
                 expected: WIRE_VERSION,
@@ -866,13 +826,13 @@ mod tests {
         let mut b = batch();
         b.individuals[0].1.clear();
         assert!(matches!(
-            EvalBatch::from_wire(&b.to_wire()),
+            decode_batch(&b.to_wire()),
             Err(WireError::Invalid(_))
         ));
         let mut b = batch();
         b.context.instr_budget = 0;
         assert!(matches!(
-            EvalBatch::from_wire(&b.to_wire()),
+            decode_batch(&b.to_wire()),
             Err(WireError::Invalid(_))
         ));
         let mut nan_rates = batch().to_wire();
@@ -884,7 +844,7 @@ mod tests {
         let rate_at = 6 + probe.len() + 1;
         nan_rates[rate_at..rate_at + 8].copy_from_slice(&f64::to_le_bytes(-1.0));
         assert!(matches!(
-            EvalBatch::from_wire(&nan_rates),
+            decode_batch(&nan_rates),
             Err(WireError::Invalid(_))
         ));
     }

@@ -32,7 +32,7 @@ use avf_inject::{
 };
 
 use crate::auth::{read_frame_verified, write_frame_signed, AuthKey, ConnectionAuth};
-use crate::eval::{genome_key, EvalBatch, EvalContext, EvalReply, EvalScore};
+use crate::eval::{genome_key, EvalBatch, EvalContext, EvalScore};
 use crate::protocol::{remote_error, ServerMessage};
 
 /// Where drains deliver acknowledgements. Drains only ever send `Ok`;
@@ -189,11 +189,14 @@ impl JobKind for GenomeBatches {
     }
 
     fn decode(payload: &[u8]) -> Result<Reply<EvalScore>, BackendError> {
-        Ok(match EvalReply::from_wire(payload)? {
-            EvalReply::Score(score) => Reply::Ack(score),
-            EvalReply::Done { results } => Reply::Done(results),
-            EvalReply::Error(msg) => Reply::Error(msg),
-        })
+        match ServerMessage::from_wire(payload)? {
+            ServerMessage::Score(score) => Ok(Reply::Ack(score)),
+            ServerMessage::Done { events } => Ok(Reply::Done(events)),
+            ServerMessage::Error(msg) => Ok(Reply::Error(msg)),
+            other => Err(BackendError::Protocol(format!(
+                "unexpected {other:?} mid-batch"
+            ))),
+        }
     }
 }
 

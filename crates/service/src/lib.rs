@@ -75,7 +75,7 @@ pub use auth::{AuthKey, ConnectionAuth};
 pub use cache::{CacheStats, StoreCache};
 pub use eval::{
     evaluate_genome, genome_key, target_params, EvalBatch, EvalCache, EvalCacheStats, EvalContext,
-    EvalReply, EvalScore, EvalVenue, RemoteEvaluator, VenueEvaluator,
+    EvalScore, EvalVenue, RemoteEvaluator, VenueEvaluator,
 };
 pub use fleet::Fleet;
 pub use metrics::{spawn_metrics, ServeStats};

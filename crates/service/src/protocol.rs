@@ -25,9 +25,16 @@
 //! across N workers cross-checks that every `JOB_READY` is identical —
 //! golden-run divergence between workers is a hard protocol error.
 //!
-//! Every payload opens with the [`avf_isa::wire`] envelope, so a stale
-//! worker build or a foreign peer fails with a typed magic/version
-//! error instead of a confusing mid-payload decode failure.
+//! Each direction decodes through one message enum, for both session
+//! kinds: [`ClientMessage`] is everything a worker receives (setup,
+//! store, trial batch, and the [`crate::eval`] plane's `EVAL_BATCH`),
+//! [`ServerMessage`] everything a driver receives (handshake, events,
+//! `EVAL_RESULT` scores, `BATCH_DONE`, errors). A receiver decodes each
+//! frame once and matches the variant; it never peeks at kind bytes.
+//!
+//! Every payload is an [`avf_isa::wire`] frame, so a stale worker build
+//! or a foreign peer fails with a typed magic/version error instead of
+//! a confusing mid-payload decode failure.
 
 use std::sync::Arc;
 
@@ -37,19 +44,7 @@ use avf_isa::Program;
 use avf_prune::PruneMap;
 use avf_sim::{CheckpointStore, FaultModel, GoldenRun, MachineConfig};
 
-fn encode_golden(w: &mut WireWriter, golden: &GoldenRun) {
-    w.u64(golden.cycles);
-    w.u64(golden.committed);
-    w.u64(golden.digest);
-}
-
-fn decode_golden(r: &mut WireReader<'_>) -> Result<GoldenRun, WireError> {
-    Ok(GoldenRun {
-        cycles: r.u64()?,
-        committed: r.u64()?,
-        digest: r.u64()?,
-    })
-}
+use crate::eval::{EvalBatch, EvalScore};
 
 /// Hash domain of checkpoint-store content (shipped mode).
 pub const HASH_DOMAIN_STORE: u8 = 0;
@@ -148,70 +143,57 @@ impl JobSetup {
     /// Serializes the setup to an enveloped frame payload.
     #[must_use]
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.envelope(kind::JOB_SETUP);
-        self.machine.encode(&mut w);
-        self.program.encode(&mut w);
-        w.u64(self.instr_budget);
-        w.u8(self.fault_model.wire_code());
-        w.u8(u8::from(self.prune));
-        match &self.mode {
-            SetupMode::Shipped {
-                store_hash,
-                golden,
-                cycle_budget,
-            } => {
-                w.u8(0);
-                w.u64(*store_hash);
-                encode_golden(&mut w, golden);
-                w.u64(*cycle_budget);
-            }
-            SetupMode::Delegated {
-                checkpoint_interval,
-            } => {
-                w.u8(1);
-                w.u64(*checkpoint_interval);
-            }
-        }
-        w.into_bytes()
-    }
-
-    fn decode_body(r: &mut WireReader<'_>) -> Result<JobSetup, WireError> {
-        let machine = MachineConfig::decode(r)?;
-        let program = Program::decode(r)?;
-        let instr_budget = r.u64()?;
-        let model_code = r.u8()?;
-        let fault_model =
-            FaultModel::from_wire_code(model_code).ok_or(WireError::BadTag(model_code))?;
-        let prune = match r.u8()? {
-            0 => false,
-            1 => true,
-            t => return Err(WireError::BadTag(t)),
-        };
-        let mode = match r.u8()? {
-            0 => SetupMode::Shipped {
-                store_hash: r.u64()?,
-                golden: decode_golden(r)?,
-                cycle_budget: r.u64()?,
-            },
-            1 => {
-                let checkpoint_interval = r.u64()?;
-                if checkpoint_interval == 0 {
-                    return Err(WireError::Invalid("checkpoint interval must be positive"));
+        WireWriter::frame(kind::JOB_SETUP, |w| {
+            self.machine.encode(w);
+            self.program.encode(w);
+            w.u64(self.instr_budget);
+            w.code(&FaultModel::ALL, self.fault_model);
+            w.bool(self.prune);
+            match &self.mode {
+                SetupMode::Shipped {
+                    store_hash,
+                    golden,
+                    cycle_budget,
+                } => {
+                    w.u8(0);
+                    w.u64(*store_hash);
+                    golden.encode(w);
+                    w.u64(*cycle_budget);
                 }
                 SetupMode::Delegated {
                     checkpoint_interval,
+                } => {
+                    w.u8(1);
+                    w.u64(*checkpoint_interval);
                 }
             }
-            t => return Err(WireError::BadTag(t)),
-        };
+        })
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<JobSetup, WireError> {
         Ok(JobSetup {
-            machine,
-            program,
-            instr_budget,
-            fault_model,
-            prune,
-            mode,
+            machine: MachineConfig::decode(r)?,
+            program: Program::decode(r)?,
+            instr_budget: r.u64()?,
+            fault_model: r.code(&FaultModel::ALL)?,
+            prune: r.bool()?,
+            mode: match r.u8()? {
+                0 => SetupMode::Shipped {
+                    store_hash: r.u64()?,
+                    golden: GoldenRun::decode(r)?,
+                    cycle_budget: r.u64()?,
+                },
+                1 => {
+                    let checkpoint_interval = r.u64()?;
+                    if checkpoint_interval == 0 {
+                        return Err(WireError::Invalid("checkpoint interval must be positive"));
+                    }
+                    SetupMode::Delegated {
+                        checkpoint_interval,
+                    }
+                }
+                t => return Err(WireError::BadTag(t)),
+            },
         })
     }
 }
@@ -237,7 +219,25 @@ pub struct JobReady {
     pub prune: Option<PruneMap>,
 }
 
-/// One client-to-server message.
+impl JobReady {
+    fn encode(&self, w: &mut WireWriter) {
+        w.u64(self.store_hash);
+        self.golden.encode(w);
+        w.u64(self.checkpoints);
+        w.opt(self.prune.as_ref(), |w, map| map.encode(w));
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<JobReady, WireError> {
+        Ok(JobReady {
+            store_hash: r.u64()?,
+            golden: GoldenRun::decode(r)?,
+            checkpoints: r.u64()?,
+            prune: r.opt(PruneMap::decode)?,
+        })
+    }
+}
+
+/// One client-to-server message: everything a worker can receive.
 #[derive(Debug, Clone)]
 pub enum ClientMessage {
     /// Open a campaign session (boxed: a setup dwarfs the other
@@ -253,45 +253,39 @@ pub enum ClientMessage {
         /// receiver verifies it against the hash announced in setup.
         hash: u64,
     },
+    /// One generation of genomes to score (wire v7): opens an
+    /// evaluation session, or continues one.
+    Eval(Box<EvalBatch>),
 }
 
 impl ClientMessage {
     /// Decodes a frame payload written by one of the client-side
     /// encoders ([`JobSetup::to_wire`], [`encode_store_data`],
-    /// [`avf_inject::encode_trial_batch`]).
+    /// [`avf_inject::encode_trial_batch`], [`EvalBatch::to_wire`]).
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] on envelope mismatch, truncation, or an
     /// unexpected frame kind.
     pub fn from_wire(bytes: &[u8]) -> Result<ClientMessage, WireError> {
-        let mut r = WireReader::new(bytes);
-        match r.envelope()? {
-            kind::JOB_SETUP => {
-                let setup = JobSetup::decode_body(&mut r)?;
-                r.finish()?;
-                Ok(ClientMessage::Setup(Box::new(setup)))
-            }
-            kind::TRIAL_BATCH => Ok(ClientMessage::Batch(decode_trial_batch(bytes)?)),
-            kind::STORE_DATA => {
-                let hash = content_hash64(HASH_DOMAIN_STORE, &bytes[ENVELOPE_BYTES..]);
-                let store = CheckpointStore::decode(&mut r)?;
-                r.finish()?;
-                Ok(ClientMessage::Store {
-                    store: Arc::new(store),
-                    hash,
-                })
-            }
-            found => Err(WireError::WrongKind {
-                found,
-                expected: kind::JOB_SETUP,
-            }),
-        }
+        WireReader::frame_any(bytes, kind::JOB_SETUP, |found, r| {
+            Ok(Some(match found {
+                kind::JOB_SETUP => ClientMessage::Setup(Box::new(JobSetup::decode(r)?)),
+                kind::TRIAL_BATCH => ClientMessage::Batch(decode_trial_batch(r)?),
+                kind::STORE_DATA => ClientMessage::Store {
+                    store: Arc::new(CheckpointStore::decode(r)?),
+                    hash: store_frame_hash(bytes),
+                },
+                kind::EVAL_BATCH => ClientMessage::Eval(Box::new(EvalBatch::decode(r)?)),
+                _ => return Ok(None),
+            }))
+        })
     }
 }
 
-/// One server-to-client message.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One server-to-client message: everything a driver can receive from
+/// a worker, in a campaign session or an evaluation session.
+#[derive(Debug, Clone, PartialEq)]
 pub enum ServerMessage {
     /// Worker already caches the job's store under this key.
     StoreHave {
@@ -308,7 +302,10 @@ pub enum ServerMessage {
     Ready(JobReady),
     /// A classified trial outcome.
     Event(TrialEvent),
-    /// The current batch is complete; `events` outcomes were streamed.
+    /// One individual's fitness score (wire v7).
+    Score(EvalScore),
+    /// The current batch is complete; `events` outcomes (or scores)
+    /// were streamed.
     Done {
         /// Number of events the server sent for the batch.
         events: u64,
@@ -323,45 +320,18 @@ impl ServerMessage {
     pub fn to_wire(&self) -> Vec<u8> {
         match self {
             ServerMessage::Event(ev) => ev.to_wire(),
+            ServerMessage::Score(score) => score.to_wire(),
             ServerMessage::StoreHave { hash } => {
-                let mut w = WireWriter::new();
-                w.envelope(kind::STORE_HAVE);
-                w.u64(*hash);
-                w.into_bytes()
+                WireWriter::frame(kind::STORE_HAVE, |w| w.u64(*hash))
             }
             ServerMessage::StoreNeed { hash } => {
-                let mut w = WireWriter::new();
-                w.envelope(kind::STORE_NEED);
-                w.u64(*hash);
-                w.into_bytes()
+                WireWriter::frame(kind::STORE_NEED, |w| w.u64(*hash))
             }
-            ServerMessage::Ready(ready) => {
-                let mut w = WireWriter::new();
-                w.envelope(kind::JOB_READY);
-                w.u64(ready.store_hash);
-                encode_golden(&mut w, &ready.golden);
-                w.u64(ready.checkpoints);
-                match &ready.prune {
-                    None => w.u8(0),
-                    Some(map) => {
-                        w.u8(1);
-                        map.encode(&mut w);
-                    }
-                }
-                w.into_bytes()
-            }
+            ServerMessage::Ready(ready) => WireWriter::frame(kind::JOB_READY, |w| ready.encode(w)),
             ServerMessage::Done { events } => {
-                let mut w = WireWriter::new();
-                w.envelope(kind::BATCH_DONE);
-                w.u64(*events);
-                w.into_bytes()
+                WireWriter::frame(kind::BATCH_DONE, |w| w.u64(*events))
             }
-            ServerMessage::Error(msg) => {
-                let mut w = WireWriter::new();
-                w.envelope(kind::SERVICE_ERROR);
-                w.str(msg);
-                w.into_bytes()
-            }
+            ServerMessage::Error(msg) => WireWriter::frame(kind::SERVICE_ERROR, |w| w.str(msg)),
         }
     }
 
@@ -372,48 +342,25 @@ impl ServerMessage {
     /// Returns a [`WireError`] on envelope mismatch, truncation, or an
     /// unexpected frame kind.
     pub fn from_wire(bytes: &[u8]) -> Result<ServerMessage, WireError> {
-        let mut r = WireReader::new(bytes);
-        let msg = match r.envelope()? {
-            kind::TRIAL_EVENT => ServerMessage::Event(TrialEvent::decode_body(&mut r)?),
-            kind::STORE_HAVE => ServerMessage::StoreHave { hash: r.u64()? },
-            kind::STORE_NEED => ServerMessage::StoreNeed { hash: r.u64()? },
-            kind::JOB_READY => {
-                let store_hash = r.u64()?;
-                let golden = decode_golden(&mut r)?;
-                let checkpoints = r.u64()?;
-                let prune = match r.u8()? {
-                    0 => None,
-                    1 => Some(PruneMap::decode(&mut r)?),
-                    t => return Err(WireError::BadTag(t)),
-                };
-                ServerMessage::Ready(JobReady {
-                    store_hash,
-                    golden,
-                    checkpoints,
-                    prune,
-                })
-            }
-            kind::BATCH_DONE => ServerMessage::Done { events: r.u64()? },
-            kind::SERVICE_ERROR => ServerMessage::Error(r.str()?),
-            found => {
-                return Err(WireError::WrongKind {
-                    found,
-                    expected: kind::TRIAL_EVENT,
-                })
-            }
-        };
-        r.finish()?;
-        Ok(msg)
+        WireReader::frame_any(bytes, kind::TRIAL_EVENT, |found, r| {
+            Ok(Some(match found {
+                kind::TRIAL_EVENT => ServerMessage::Event(TrialEvent::decode(r)?),
+                kind::EVAL_RESULT => ServerMessage::Score(EvalScore::decode(r)?),
+                kind::STORE_HAVE => ServerMessage::StoreHave { hash: r.u64()? },
+                kind::STORE_NEED => ServerMessage::StoreNeed { hash: r.u64()? },
+                kind::JOB_READY => ServerMessage::Ready(JobReady::decode(r)?),
+                kind::BATCH_DONE => ServerMessage::Done { events: r.u64()? },
+                kind::SERVICE_ERROR => ServerMessage::Error(r.str()?),
+                _ => return Ok(None),
+            }))
+        })
     }
 }
 
 /// Serializes a checkpoint store to a `STORE_DATA` frame payload.
 #[must_use]
 pub fn encode_store_data(store: &CheckpointStore) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.envelope(kind::STORE_DATA);
-    store.encode(&mut w);
-    w.into_bytes()
+    WireWriter::frame(kind::STORE_DATA, |w| store.encode(w))
 }
 
 /// Content hash of a `STORE_DATA` frame payload — over exactly the
@@ -477,36 +424,27 @@ impl Mux {
     /// Serializes the multiplexed frame to an enveloped payload.
     #[must_use]
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.envelope(kind::MUX);
-        w.u64(self.tag);
-        w.u32(u32::try_from(self.inner.len()).expect("inner frame exceeds u32 length"));
-        w.bytes(&self.inner);
-        w.into_bytes()
+        WireWriter::frame(kind::MUX, |w| {
+            w.u64(self.tag);
+            w.u32(u32::try_from(self.inner.len()).expect("inner frame exceeds u32 length"));
+            w.bytes(&self.inner);
+        })
     }
 
-    /// Decodes a frame payload written by [`Mux::to_wire`].
+    /// Decodes the body of a `MUX` frame written by [`Mux::to_wire`].
+    /// Both broker directions carry `MUX` frames, so their message
+    /// enums decode it through this.
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on envelope mismatch, truncation, or a
-    /// non-MUX frame kind.
-    pub fn from_wire(bytes: &[u8]) -> Result<Mux, WireError> {
-        let mut r = WireReader::new(bytes);
-        match r.envelope()? {
-            kind::MUX => {}
-            found => {
-                return Err(WireError::WrongKind {
-                    found,
-                    expected: kind::MUX,
-                })
-            }
-        }
+    /// Returns a [`WireError`] on truncation.
+    pub fn decode(r: &mut WireReader<'_>) -> Result<Mux, WireError> {
         let tag = r.u64()?;
         let len = r.u32()? as usize;
-        let inner = r.bytes(len)?.to_vec();
-        r.finish()?;
-        Ok(Mux { tag, inner })
+        Ok(Mux {
+            tag,
+            inner: r.bytes(len)?.to_vec(),
+        })
     }
 }
 
@@ -539,6 +477,11 @@ mod tests {
                 golden: golden(),
                 checkpoints: 12,
                 prune: None,
+            }),
+            ServerMessage::Score(EvalScore {
+                index: 3,
+                score: 0.5,
+                cached: false,
             }),
             ServerMessage::Done { events: 128 },
             ServerMessage::Error("checkpoint store rejected".to_owned()),
@@ -607,17 +550,17 @@ mod tests {
     fn delegated_zero_interval_is_rejected_at_decode() {
         let machine = MachineConfig::baseline();
         let program = avf_workloads::testkit::idle_loop();
-        let mut w = WireWriter::new();
-        w.envelope(kind::JOB_SETUP);
-        machine.encode(&mut w);
-        program.encode(&mut w);
-        w.u64(1_000);
-        w.u8(FaultModel::Replay.wire_code());
-        w.u8(0); // prune off
-        w.u8(1);
-        w.u64(0); // zero interval: the golden pass would never checkpoint
+        let bytes = WireWriter::frame(kind::JOB_SETUP, |w| {
+            machine.encode(w);
+            program.encode(w);
+            w.u64(1_000);
+            w.code(&FaultModel::ALL, FaultModel::Replay);
+            w.bool(false); // prune off
+            w.u8(1);
+            w.u64(0); // zero interval: the golden pass would never checkpoint
+        });
         assert_eq!(
-            ClientMessage::from_wire(&w.into_bytes()).map(|_| ()),
+            ClientMessage::from_wire(&bytes).map(|_| ()),
             Err(WireError::Invalid("checkpoint interval must be positive"))
         );
     }
@@ -703,7 +646,10 @@ mod tests {
     fn mux_frames_round_trip_and_reject_wrong_kinds() {
         let inner = ServerMessage::Done { events: 3 }.to_wire();
         let mux = Mux::wrap(0xFEED, inner.clone());
-        let decoded = Mux::from_wire(&mux.to_wire()).unwrap();
+        fn decode(bytes: &[u8]) -> Result<Mux, WireError> {
+            WireReader::frame(bytes, kind::MUX, Mux::decode)
+        }
+        let decoded = decode(&mux.to_wire()).unwrap();
         assert_eq!(decoded, mux);
         // The inner payload is a complete frame in its own right.
         assert_eq!(
@@ -711,14 +657,11 @@ mod tests {
             ServerMessage::Done { events: 3 }
         );
         // An unwrapped frame where a MUX frame belongs fails typed.
-        assert!(matches!(
-            Mux::from_wire(&inner),
-            Err(WireError::WrongKind { .. })
-        ));
+        assert!(matches!(decode(&inner), Err(WireError::WrongKind { .. })));
         // A truncated MUX frame fails typed, not by panicking.
         let whole = mux.to_wire();
         assert!(matches!(
-            Mux::from_wire(&whole[..whole.len() - 2]),
+            decode(&whole[..whole.len() - 2]),
             Err(WireError::Truncated)
         ));
     }

@@ -35,7 +35,9 @@ use crate::cache::{CacheEntry, StoreCache};
 use crate::eval::{handle_eval_session, EvalCache};
 use crate::frame::FrameBatcher;
 use crate::metrics::ServeStats;
-use crate::protocol::{geometry_fingerprint, ClientMessage, JobReady, ServerMessage, SetupMode};
+use crate::protocol::{
+    geometry_fingerprint, ClientMessage, JobReady, JobSetup, ServerMessage, SetupMode,
+};
 
 /// Server tuning.
 #[derive(Clone)]
@@ -157,18 +159,12 @@ pub fn spawn_local(opts: ServeOptions) -> std::io::Result<std::net::SocketAddr> 
 /// this reads the `STORE_DATA` frame from `reader` and verifies its
 /// content hash against the one announced in setup.
 fn resolve_store(
-    setup: ClientMessage,
+    setup: JobSetup,
     reader: &mut BufReader<&TcpStream>,
     writer: &mut FrameBatcher<&TcpStream>,
     cache: &StoreCache,
     verifier: Option<&AuthVerifier>,
-) -> Result<(crate::protocol::JobSetup, CacheEntry, u64), BackendError> {
-    let ClientMessage::Setup(setup) = setup else {
-        return Err(BackendError::Protocol(
-            "session must open with a job setup frame".to_owned(),
-        ));
-    };
-    let setup = *setup;
+) -> Result<(JobSetup, CacheEntry, u64), BackendError> {
     let key = setup.cache_key();
     let geometry = geometry_fingerprint(&setup.machine, &setup.program);
     // A pruning delegated job needs the golden pass's ACE evidence on
@@ -289,12 +285,19 @@ fn handle_connection(
     let Some(payload) = read_frame_verified(&mut reader, verifier)? else {
         return Ok(()); // connected and left; nothing to do
     };
-    if payload.get(5) == Some(&avf_isa::wire::kind::EVAL_BATCH) {
-        return handle_eval_session(stream, &mut reader, &mut writer, payload, opts, verifier);
-    }
-    let first = ClientMessage::from_wire(&payload)?;
+    let setup = match ClientMessage::from_wire(&payload)? {
+        ClientMessage::Setup(setup) => *setup,
+        ClientMessage::Eval(batch) => {
+            return handle_eval_session(stream, &mut reader, &mut writer, *batch, opts, verifier);
+        }
+        _ => {
+            return Err(BackendError::Protocol(
+                "session must open with a job setup frame".to_owned(),
+            ))
+        }
+    };
     let (setup, entry, key) =
-        resolve_store(first, &mut reader, &mut writer, &opts.cache, verifier)?;
+        resolve_store(setup, &mut reader, &mut writer, &opts.cache, verifier)?;
 
     let cycle_budget = match setup.mode {
         SetupMode::Shipped { cycle_budget, .. } => cycle_budget,

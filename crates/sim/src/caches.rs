@@ -182,14 +182,13 @@ impl Cache {
         w.u64(self.tick);
         w.u64(self.accesses);
         w.u64(self.misses);
-        let valid = self.lines.iter().filter(|l| l.valid).count();
-        w.usize(valid);
-        for (idx, line) in self.lines.iter().enumerate().filter(|(_, l)| l.valid) {
+        let valid = self.lines.iter().enumerate().filter(|(_, l)| l.valid);
+        w.seq(valid, |w, (idx, line)| {
             w.u32(idx as u32);
             w.u64(line.tag);
             w.bool(line.dirty);
             w.u64(line.lru);
-        }
+        });
     }
 
     /// Decodes state written by [`Cache::encode`] onto the geometry of
@@ -199,8 +198,8 @@ impl Cache {
         c.tick = r.u64()?;
         c.accesses = r.u64()?;
         c.misses = r.u64()?;
-        let valid = r.seq_len(4 + 8 + 1 + 8)?;
-        for _ in 0..valid {
+        // Valid lines decode in place; the sequence itself is empty.
+        r.seq(4 + 8 + 1 + 8, |r| {
             let idx = r.u32()? as usize;
             let slot = c
                 .lines
@@ -212,7 +211,8 @@ impl Cache {
                 dirty: r.bool()?,
                 lru: r.u64()?,
             };
-        }
+            Ok(())
+        })?;
         Ok(c)
     }
 }

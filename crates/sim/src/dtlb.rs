@@ -137,15 +137,14 @@ impl Dtlb {
 
     /// Serializes the TLB state for checkpoint snapshots.
     pub(crate) fn encode(&self, w: &mut WireWriter) {
-        w.usize(self.entries.len());
-        for &(vpn, lru) in &self.entries {
+        w.seq(&self.entries, |w, &(vpn, lru)| {
             w.u64(vpn);
             w.u64(lru);
-        }
+        });
         w.u64(self.tick);
         w.u64(self.accesses);
         w.u64(self.misses);
-        w.opt_u64(self.poisoned);
+        w.opt(self.poisoned, WireWriter::u64);
         w.bool(self.tripped);
     }
 
@@ -157,19 +156,15 @@ impl Dtlb {
         page_bytes: u64,
     ) -> Result<Dtlb, WireError> {
         let mut tlb = Dtlb::new(capacity, page_bytes);
-        let n = r.seq_len(8 + 8)?;
-        if n > capacity {
+        let entries = r.seq(8 + 8, |r| Ok((r.u64()?, r.u64()?)))?;
+        if entries.len() > capacity {
             return Err(WireError::Invalid("TLB residency exceeds capacity"));
         }
-        for _ in 0..n {
-            let vpn = r.u64()?;
-            let lru = r.u64()?;
-            tlb.entries.push((vpn, lru));
-        }
+        tlb.entries.extend(entries);
         tlb.tick = r.u64()?;
         tlb.accesses = r.u64()?;
         tlb.misses = r.u64()?;
-        tlb.poisoned = r.opt_u64()?;
+        tlb.poisoned = r.opt(WireReader::u64)?;
         tlb.tripped = r.bool()?;
         Ok(tlb)
     }

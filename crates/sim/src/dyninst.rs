@@ -12,6 +12,12 @@ pub enum Stage {
     Complete,
 }
 
+impl Stage {
+    /// Every stage, in wire-code order (also the ROB status-field
+    /// encoding the replay oracle flips).
+    pub const ALL: [Stage; 3] = [Stage::InIq, Stage::Executing, Stage::Complete];
+}
+
 /// One in-flight dynamic instruction.
 #[derive(Debug, Clone)]
 pub struct DynInst {
@@ -96,26 +102,20 @@ impl DynInst {
         w.bool(self.wrong_path);
         w.bool(self.mispredicted);
         w.bool(self.predicted_taken);
-        match &self.outcome {
-            None => w.u8(0),
-            Some(o) => {
-                w.u8(1);
-                o.encode(w);
-            }
-        }
-        w.u8(match self.stage {
-            Stage::InIq => 0,
-            Stage::Executing => 1,
-            Stage::Complete => 2,
-        });
+        w.opt(self.outcome.as_ref(), |w, o| o.encode(w));
+        w.code(&Stage::ALL, self.stage);
         w.u64(self.dispatch_cycle);
         w.u64(self.issue_cycle);
         w.u64(self.complete_cycle);
         w.u64(self.data_return_cycle);
-        w.opt_u32(self.dest_preg);
-        w.opt_u32(self.prev_preg);
-        w.opt_u32(self.src_pregs[0]);
-        w.opt_u32(self.src_pregs[1]);
+        for preg in [
+            self.dest_preg,
+            self.prev_preg,
+            self.src_pregs[0],
+            self.src_pregs[1],
+        ] {
+            w.opt(preg, WireWriter::u32);
+        }
         w.u64(self.src_vals[0]);
         w.u64(self.src_vals[1]);
     }
@@ -135,24 +135,15 @@ impl DynInst {
             wrong_path: r.bool()?,
             mispredicted: r.bool()?,
             predicted_taken: r.bool()?,
-            outcome: match r.u8()? {
-                0 => None,
-                1 => Some(Outcome::decode(r)?),
-                t => return Err(WireError::BadTag(t)),
-            },
-            stage: match r.u8()? {
-                0 => Stage::InIq,
-                1 => Stage::Executing,
-                2 => Stage::Complete,
-                t => return Err(WireError::BadTag(t)),
-            },
+            outcome: r.opt(Outcome::decode)?,
+            stage: r.code(&Stage::ALL)?,
             dispatch_cycle: r.u64()?,
             issue_cycle: r.u64()?,
             complete_cycle: r.u64()?,
             data_return_cycle: r.u64()?,
-            dest_preg: r.opt_u32()?,
-            prev_preg: r.opt_u32()?,
-            src_pregs: [r.opt_u32()?, r.opt_u32()?],
+            dest_preg: r.opt(WireReader::u32)?,
+            prev_preg: r.opt(WireReader::u32)?,
+            src_pregs: [r.opt(WireReader::u32)?, r.opt(WireReader::u32)?],
             src_vals: [r.u64()?, r.u64()?],
         })
     }

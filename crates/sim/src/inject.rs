@@ -50,7 +50,7 @@
 //! zero; and clean-cache-line flips hit the backing store directly.
 
 use avf_ace::{Structure, StructureSizes};
-use avf_isa::wire::WireError;
+use avf_isa::wire::{code_of, WireError, WireReader, WireWriter};
 use avf_isa::{AccessSize, Inst, OpClass, Opcode, Program};
 
 use crate::config::MachineConfig;
@@ -85,7 +85,7 @@ pub enum InjectionTarget {
 }
 
 impl InjectionTarget {
-    /// Every target, in display order.
+    /// Every target, in display order (which is also wire-code order).
     pub const ALL: [InjectionTarget; 8] = [
         InjectionTarget::Rob,
         InjectionTarget::Iq,
@@ -140,22 +140,6 @@ impl InjectionTarget {
         }
     }
 
-    /// Stable single-byte code used on the wire (the target's position
-    /// in [`InjectionTarget::ALL`]).
-    #[must_use]
-    pub fn wire_code(self) -> u8 {
-        InjectionTarget::ALL
-            .iter()
-            .position(|&t| t == self)
-            .expect("every target is in ALL") as u8
-    }
-
-    /// Inverse of [`InjectionTarget::wire_code`].
-    #[must_use]
-    pub fn from_wire_code(code: u8) -> Option<InjectionTarget> {
-        InjectionTarget::ALL.get(usize::from(code)).copied()
-    }
-
     /// The ACE structures to compare injection-measured AVF against
     /// (bit-weighted merge where a target spans two arrays).
     #[must_use]
@@ -203,6 +187,9 @@ pub enum FaultModel {
 }
 
 impl FaultModel {
+    /// Every model, in wire-code order.
+    pub const ALL: [FaultModel; 2] = [FaultModel::Trap, FaultModel::Replay];
+
     /// Short name used in reports and on the CLI.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -218,25 +205,6 @@ impl FaultModel {
         match s {
             "trap" => Some(FaultModel::Trap),
             "replay" => Some(FaultModel::Replay),
-            _ => None,
-        }
-    }
-
-    /// Stable single-byte code used by the job-setup wire codec.
-    #[must_use]
-    pub fn wire_code(self) -> u8 {
-        match self {
-            FaultModel::Trap => 0,
-            FaultModel::Replay => 1,
-        }
-    }
-
-    /// Inverse of [`FaultModel::wire_code`].
-    #[must_use]
-    pub fn from_wire_code(code: u8) -> Option<FaultModel> {
-        match code {
-            0 => Some(FaultModel::Trap),
-            1 => Some(FaultModel::Replay),
             _ => None,
         }
     }
@@ -337,6 +305,28 @@ pub struct GoldenRun {
     pub committed: u64,
     /// Semantic digest of final memory ([`avf_isa::Memory::digest`]).
     pub digest: u64,
+}
+
+impl GoldenRun {
+    /// Serializes the run (cycles, committed, digest) into `w`.
+    pub fn encode(&self, w: &mut WireWriter) {
+        w.u64(self.cycles);
+        w.u64(self.committed);
+        w.u64(self.digest);
+    }
+
+    /// Decodes a run written by [`GoldenRun::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::Truncated`] on short input.
+    pub fn decode(r: &mut WireReader<'_>) -> Result<GoldenRun, WireError> {
+        Ok(GoldenRun {
+            cycles: r.u64()?,
+            committed: r.u64()?,
+            digest: r.u64()?,
+        })
+    }
 }
 
 /// A simulator instance with fault-injection seams: bounded stepping,
@@ -669,12 +659,7 @@ impl<'a> InjectionSim<'a> {
             RobControlField::DestTag(b) => self.flip_dest_tag(idx, b, apply),
             RobControlField::Status(b) => {
                 // 2-bit stage code: InIq 0, Executing 1, Complete 2.
-                let code: u8 = match e.stage {
-                    Stage::InIq => 0,
-                    Stage::Executing => 1,
-                    Stage::Complete => 2,
-                };
-                if code ^ (1 << b) == 3 {
+                if code_of(&Stage::ALL, e.stage) ^ (1 << b) == 3 {
                     // Unencodable scheduling state.
                     FlipEffect::Diverged
                 } else {
@@ -745,7 +730,8 @@ impl<'a> InjectionSim<'a> {
         }
         let e = &self.pipe.rob[idx];
         let op = e.inst.op;
-        let Some(op2) = Opcode::from_wire_code(op.wire_code() ^ (1 << b)) else {
+        let code = code_of(&Opcode::ALL, op) ^ (1 << b);
+        let Some(&op2) = Opcode::ALL.get(usize::from(code)) else {
             return FlipEffect::Diverged; // unencodable opcode
         };
         if op2.class() != op.class() {
@@ -1081,14 +1067,12 @@ impl CheckpointStore {
     /// into a wire writer — the payload a campaign service ships to a
     /// remote worker so trial execution there starts from checkpoints
     /// instead of replaying the fault-free prefix.
-    pub fn encode(&self, w: &mut avf_isa::wire::WireWriter) {
+    pub fn encode(&self, w: &mut WireWriter) {
         w.u64(self.interval);
-        w.usize(self.checkpoints.len());
-        for (cycle, blob) in &self.checkpoints {
+        w.seq(&self.checkpoints, |w, (cycle, blob)| {
             w.u64(*cycle);
-            w.usize(blob.len());
-            w.bytes(blob);
-        }
+            w.blob(blob);
+        });
     }
 
     /// Decodes a store written by [`CheckpointStore::encode`],
@@ -1101,19 +1085,13 @@ impl CheckpointStore {
     ///
     /// Returns a [`WireError`] on truncation or a store whose cycle
     /// index is unusable.
-    pub fn decode(r: &mut avf_isa::wire::WireReader<'_>) -> Result<CheckpointStore, WireError> {
+    pub fn decode(r: &mut WireReader<'_>) -> Result<CheckpointStore, WireError> {
         let interval = r.u64()?;
         if interval == 0 {
             return Err(WireError::Invalid("checkpoint interval must be positive"));
         }
         // Each checkpoint costs at least cycle (8) + blob length (8).
-        let n = r.seq_len(16)?;
-        let mut checkpoints = Vec::with_capacity(n);
-        for _ in 0..n {
-            let cycle = r.u64()?;
-            let len = r.seq_len(1)?;
-            checkpoints.push((cycle, r.bytes(len)?.to_vec()));
-        }
+        let checkpoints = r.seq(16, |r| Ok((r.u64()?, r.blob()?.to_vec())))?;
         let starts_at_zero = checkpoints.first().is_some_and(|&(c, _)| c == 0);
         let ascending = checkpoints.windows(2).all(|w| w[0].0 < w[1].0);
         if !starts_at_zero || !ascending {
@@ -1622,9 +1600,15 @@ mod tests {
     #[test]
     fn injection_target_wire_codes_round_trip() {
         for t in InjectionTarget::ALL {
-            assert_eq!(InjectionTarget::from_wire_code(t.wire_code()), Some(t));
+            let mut w = WireWriter::new();
+            w.code(&InjectionTarget::ALL, t);
+            let bytes = w.into_bytes();
+            assert_eq!(WireReader::new(&bytes).code(&InjectionTarget::ALL), Ok(t));
         }
-        assert_eq!(InjectionTarget::from_wire_code(200), None);
+        assert_eq!(
+            WireReader::new(&[200]).code(&InjectionTarget::ALL),
+            Err(WireError::BadTag(200))
+        );
     }
 
     #[test]

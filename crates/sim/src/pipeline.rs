@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use avf_ace::{
     AceConfig, AceKind, AvfAnalyzer, InstrRecord, MemRef, Slice, Structure, StructureSizes,
 };
-use avf_isa::wire::{WireError, WireReader, WireWriter};
+use avf_isa::wire::{kind, WireError, WireReader, WireWriter};
 use avf_isa::{text_addr, ExecState, Memory, OpClass, Opcode, Program};
 
 use crate::bpred::BranchPredictor;
@@ -1188,54 +1188,42 @@ impl PipelineSnapshot {
     /// processes or machines instead of replaying the fault-free prefix.
     #[must_use]
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.envelope(avf_isa::wire::kind::SNAPSHOT);
-        self.oracle.encode(&mut w);
-        self.oracle_mem.encode(&mut w);
-        w.bool(self.trapped);
-        self.bpred.encode(&mut w);
-        self.l1i.encode(&mut w);
-        self.dl1.encode(&mut w);
-        self.l2.encode(&mut w);
-        self.dtlb.encode(&mut w);
-        self.rf.encode(&mut w);
-        w.usize(self.fetch_queue.len());
-        for d in &self.fetch_queue {
-            d.encode(&mut w);
-        }
-        w.usize(self.rob.len());
-        for d in &self.rob {
-            d.encode(&mut w);
-        }
-        w.usize(self.iq_count);
-        w.usize(self.lq_count);
-        w.usize(self.sq_count);
-        w.u64(self.cycle);
-        w.u64(self.seq);
-        w.u32(self.fetch_pc);
-        w.u64(self.fetch_stalled_until);
-        w.opt_u64(self.last_fetch_line);
-        w.bool(self.wrong_path_mode);
-        match self.recovery {
-            None => w.u8(0),
-            Some(r) => {
-                w.u8(1);
+        WireWriter::frame(kind::SNAPSHOT, |w| {
+            self.oracle.encode(w);
+            self.oracle_mem.encode(w);
+            w.bool(self.trapped);
+            self.bpred.encode(w);
+            self.l1i.encode(w);
+            self.dl1.encode(w);
+            self.l2.encode(w);
+            self.dtlb.encode(w);
+            self.rf.encode(w);
+            w.seq(&self.fetch_queue, |w, d| d.encode(w));
+            w.seq(&self.rob, |w, d| d.encode(w));
+            w.usize(self.iq_count);
+            w.usize(self.lq_count);
+            w.usize(self.sq_count);
+            w.u64(self.cycle);
+            w.u64(self.seq);
+            w.u32(self.fetch_pc);
+            w.u64(self.fetch_stalled_until);
+            w.opt(self.last_fetch_line, WireWriter::u64);
+            w.bool(self.wrong_path_mode);
+            w.opt(self.recovery, |w, r| {
                 w.u64(r.resume_cycle);
                 w.u32(r.pc);
-            }
-        }
-        w.bool(self.fetch_done);
-        w.bool(self.halted);
-        w.u64(self.last_commit_cycle);
-        w.usize(self.cache_faults.len());
-        for f in &self.cache_faults {
-            w.bool(f.dl1);
-            w.u64(f.line_base);
-            w.u64(f.addr);
-            w.u8(f.mask);
-        }
-        self.stats.encode(&mut w);
-        w.into_bytes()
+            });
+            w.bool(self.fetch_done);
+            w.bool(self.halted);
+            w.u64(self.last_commit_cycle);
+            w.seq(&self.cache_faults, |w, f| {
+                w.bool(f.dl1);
+                w.u64(f.line_base);
+                w.u64(f.addr);
+                w.u8(f.mask);
+            });
+            self.stats.encode(w);
+        })
     }
 
     /// Decodes a snapshot written by [`PipelineSnapshot::to_wire`] for
@@ -1250,89 +1238,76 @@ impl PipelineSnapshot {
         cfg: &MachineConfig,
         program: &Program,
     ) -> Result<PipelineSnapshot, WireError> {
-        let mut r = WireReader::new(bytes);
-        r.expect_envelope(avf_isa::wire::kind::SNAPSHOT)?;
-        let oracle = ExecState::decode(&mut r)?;
-        let oracle_mem = Memory::decode(&mut r)?;
-        let trapped = r.bool()?;
-        let bpred = BranchPredictor::decode(&mut r, cfg.bpred.clone())?;
-        let l1i = Cache::decode(&mut r, &cfg.l1i)?;
-        let dl1 = Cache::decode(&mut r, &cfg.dl1)?;
-        let l2 = Cache::decode(&mut r, &cfg.l2)?;
-        let dtlb = Dtlb::decode(&mut r, cfg.dtlb_entries, cfg.page_bytes)?;
-        let rf = PhysRegFile::decode(&mut r, cfg.phys_regs)?;
-        // A DynInst is at least seq + pc + flag/tag bytes + cycles +
-        // the two fetch-time source values.
-        const DYNINST_MIN_BYTES: usize = 8 + 4 + 6 + 32 + 16;
-        let n_fetch = r.seq_len(DYNINST_MIN_BYTES)?;
-        let mut fetch_queue = VecDeque::with_capacity(n_fetch);
-        for _ in 0..n_fetch {
-            fetch_queue.push_back(DynInst::decode(&mut r, program)?);
-        }
-        let n_rob = r.seq_len(DYNINST_MIN_BYTES)?;
-        let mut rob = VecDeque::with_capacity(n_rob);
-        for _ in 0..n_rob {
-            rob.push_back(DynInst::decode(&mut r, program)?);
-        }
-        let iq_count = r.usize()?;
-        let lq_count = r.usize()?;
-        let sq_count = r.usize()?;
-        let cycle = r.u64()?;
-        let seq = r.u64()?;
-        let fetch_pc = r.u32()?;
-        let fetch_stalled_until = r.u64()?;
-        let last_fetch_line = r.opt_u64()?;
-        let wrong_path_mode = r.bool()?;
-        let recovery = match r.u8()? {
-            0 => None,
-            1 => Some(Recovery {
-                resume_cycle: r.u64()?,
-                pc: r.u32()?,
-            }),
-            t => return Err(WireError::BadTag(t)),
-        };
-        let fetch_done = r.bool()?;
-        let halted = r.bool()?;
-        let last_commit_cycle = r.u64()?;
-        let n_faults = r.seq_len(1 + 8 + 8 + 1)?;
-        let mut cache_faults = Vec::with_capacity(n_faults);
-        for _ in 0..n_faults {
-            cache_faults.push(CacheFault {
-                dl1: r.bool()?,
-                line_base: r.u64()?,
-                addr: r.u64()?,
-                mask: r.u8()?,
-            });
-        }
-        let stats = SimStats::decode(&mut r)?;
-        r.finish()?;
-        Ok(PipelineSnapshot {
-            oracle,
-            oracle_mem,
-            trapped,
-            bpred,
-            l1i,
-            dl1,
-            l2,
-            dtlb,
-            rf,
-            fetch_queue,
-            rob,
-            iq_count,
-            lq_count,
-            sq_count,
-            cycle,
-            seq,
-            fetch_pc,
-            fetch_stalled_until,
-            last_fetch_line,
-            wrong_path_mode,
-            recovery,
-            fetch_done,
-            halted,
-            last_commit_cycle,
-            cache_faults,
-            stats,
+        WireReader::frame(bytes, kind::SNAPSHOT, |r| {
+            let oracle = ExecState::decode(r)?;
+            let oracle_mem = Memory::decode(r)?;
+            let trapped = r.bool()?;
+            let bpred = BranchPredictor::decode(r, cfg.bpred.clone())?;
+            let l1i = Cache::decode(r, &cfg.l1i)?;
+            let dl1 = Cache::decode(r, &cfg.dl1)?;
+            let l2 = Cache::decode(r, &cfg.l2)?;
+            let dtlb = Dtlb::decode(r, cfg.dtlb_entries, cfg.page_bytes)?;
+            let rf = PhysRegFile::decode(r, cfg.phys_regs)?;
+            // A DynInst is at least seq + pc + flag/tag bytes + cycles +
+            // the two fetch-time source values.
+            const DYNINST_MIN_BYTES: usize = 8 + 4 + 6 + 32 + 16;
+            let fetch_queue = r.seq(DYNINST_MIN_BYTES, |r| DynInst::decode(r, program))?;
+            let rob = r.seq(DYNINST_MIN_BYTES, |r| DynInst::decode(r, program))?;
+            let iq_count = r.usize()?;
+            let lq_count = r.usize()?;
+            let sq_count = r.usize()?;
+            let cycle = r.u64()?;
+            let seq = r.u64()?;
+            let fetch_pc = r.u32()?;
+            let fetch_stalled_until = r.u64()?;
+            let last_fetch_line = r.opt(WireReader::u64)?;
+            let wrong_path_mode = r.bool()?;
+            let recovery = r.opt(|r| {
+                Ok(Recovery {
+                    resume_cycle: r.u64()?,
+                    pc: r.u32()?,
+                })
+            })?;
+            let fetch_done = r.bool()?;
+            let halted = r.bool()?;
+            let last_commit_cycle = r.u64()?;
+            let cache_faults = r.seq(1 + 8 + 8 + 1, |r| {
+                Ok(CacheFault {
+                    dl1: r.bool()?,
+                    line_base: r.u64()?,
+                    addr: r.u64()?,
+                    mask: r.u8()?,
+                })
+            })?;
+            let stats = SimStats::decode(r)?;
+            Ok(PipelineSnapshot {
+                oracle,
+                oracle_mem,
+                trapped,
+                bpred,
+                l1i,
+                dl1,
+                l2,
+                dtlb,
+                rf,
+                fetch_queue: fetch_queue.into(),
+                rob: rob.into(),
+                iq_count,
+                lq_count,
+                sq_count,
+                cycle,
+                seq,
+                fetch_pc,
+                fetch_stalled_until,
+                last_fetch_line,
+                wrong_path_mode,
+                recovery,
+                fetch_done,
+                halted,
+                last_commit_cycle,
+                cache_faults,
+                stats,
+            })
         })
     }
 }

@@ -167,20 +167,15 @@ impl PhysRegFile {
 
     /// Serializes the rename state for checkpoint snapshots.
     pub(crate) fn encode(&self, w: &mut WireWriter) {
-        w.usize(self.pregs.len());
-        for p in &self.pregs {
+        w.seq(&self.pregs, |w, p| {
             w.bool(p.ready);
             w.u64(p.write_cycle);
-            w.usize(p.reads.len());
-            for &(DynId(id), cycle) in &p.reads {
+            w.seq(&p.reads, |w, &(DynId(id), cycle)| {
                 w.u64(id);
                 w.u64(cycle);
-            }
-        }
-        w.usize(self.free.len());
-        for &f in &self.free {
-            w.u32(f);
-        }
+            });
+        });
+        w.seq(&self.free, |w, &f| w.u32(f));
         for &m in &self.map {
             w.u32(m);
         }
@@ -200,7 +195,14 @@ impl PhysRegFile {
         expect_phys: usize,
     ) -> Result<PhysRegFile, WireError> {
         // Each preg is at least ready + write_cycle + read count bytes.
-        let n_phys = r.seq_len(1 + 8 + 8)?;
+        let pregs = r.seq(1 + 8 + 8, |r| {
+            Ok(Preg {
+                ready: r.bool()?,
+                write_cycle: r.u64()?,
+                reads: r.seq(8 + 8, |r| Ok((DynId(r.u64()?), r.u64()?)))?,
+            })
+        })?;
+        let n_phys = pregs.len();
         if n_phys != expect_phys || n_phys <= ARCH_REGS {
             return Err(WireError::Invalid("physical register count mismatch"));
         }
@@ -211,26 +213,7 @@ impl PhysRegFile {
                 Err(WireError::Invalid("preg index out of range"))
             }
         };
-        let mut pregs = Vec::with_capacity(n_phys);
-        for _ in 0..n_phys {
-            let ready = r.bool()?;
-            let write_cycle = r.u64()?;
-            let n_reads = r.seq_len(8 + 8)?;
-            let mut reads = Vec::with_capacity(n_reads);
-            for _ in 0..n_reads {
-                reads.push((DynId(r.u64()?), r.u64()?));
-            }
-            pregs.push(Preg {
-                ready,
-                write_cycle,
-                reads,
-            });
-        }
-        let n_free = r.seq_len(4)?;
-        let mut free = Vec::with_capacity(n_free);
-        for _ in 0..n_free {
-            free.push(valid_preg(r.u32()?)?);
-        }
+        let free = r.seq(4, |r| valid_preg(r.u32()?))?;
         let mut map = [0u32; ARCH_REGS];
         for m in &mut map {
             *m = valid_preg(r.u32()?)?;
