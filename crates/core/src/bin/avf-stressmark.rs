@@ -30,7 +30,9 @@ use std::process::ExitCode;
 use avf_ace::FaultRates;
 use avf_broker::{Broker, BrokerClient, BrokerOptions, BrokeredBackend, CampaignSpec, SubmitError};
 use avf_ga::GaParams;
-use avf_inject::{CampaignConfig, FaultModel, GoldenMode, LocalBackend, PruneMode};
+use avf_inject::{
+    CampaignBackend, CampaignConfig, FaultModel, GoldenMode, LocalBackend, PruneMode,
+};
 use avf_isa::Program;
 use avf_service::{serve, spawn_metrics, RemoteBackend, ServeOptions};
 use avf_sim::MachineConfig;
@@ -411,13 +413,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         listener
             .local_addr()
             .map_or_else(|_| listen.to_owned(), |a| a.to_string()),
-        if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        }
+        LocalBackend::new(threads).workers()
     );
     let opts = ServeOptions {
         threads,
@@ -428,7 +424,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if let Some(metrics) = args.flag("metrics") {
         let stats = opts.stats.clone();
         let cache = opts.cache.clone();
-        let bound = spawn_metrics(metrics, move || stats.render(&cache))
+        let eval_cache = opts.eval_cache.clone();
+        let bound = spawn_metrics(metrics, move || stats.render_with_eval(&cache, &eval_cache))
             .map_err(|e| format!("cannot serve metrics on `{metrics}`: {e}"))?;
         eprintln!("metrics endpoint on http://{bound}/metrics");
     }

@@ -42,8 +42,8 @@ use avf_isa::Program;
 use avf_prune::PruneMap;
 use avf_sim::{
     golden_run_checkpointed, golden_run_with_evidence, CheckpointStore, DecodedCheckpoints,
-    FaultModel, FlipEffect, GoldenRun, InjectionSim, InjectionTarget, MachineConfig, RunEnd,
-    PRUNE_WINDOW,
+    FaultModel, FlipEffect, GoldenRun, InjectionSim, InjectionTarget, MachineConfig, PruneEvidence,
+    RunEnd, PRUNE_WINDOW,
 };
 
 use crate::plan::Trial;
@@ -189,6 +189,41 @@ pub struct JobSpec {
 #[must_use]
 pub fn cycle_budget_of(golden_cycles: u64) -> u64 {
     golden_cycles.saturating_mul(4).saturating_add(50_000)
+}
+
+/// The fault-free golden pass of a job, checkpointed every
+/// `checkpoint_interval` cycles. A pruning job (`with_evidence`) runs
+/// it instrumented, capturing the ACE evidence the site classifier
+/// consumes; the golden run and store are bit-identical either way.
+/// Every venue that runs a golden pass — the driver, the local
+/// backend, a `serve` worker — picks the pass here.
+///
+/// # Panics
+///
+/// Panics if `checkpoint_interval` is zero or the fault-free run does
+/// not complete cleanly.
+#[must_use]
+pub fn golden_pass(
+    machine: &MachineConfig,
+    program: &Program,
+    instr_budget: u64,
+    checkpoint_interval: u64,
+    with_evidence: bool,
+) -> (GoldenRun, CheckpointStore, Option<PruneEvidence>) {
+    if with_evidence {
+        let (golden, store, evidence) = golden_run_with_evidence(
+            machine,
+            program,
+            instr_budget,
+            checkpoint_interval,
+            PRUNE_WINDOW,
+        );
+        (golden, store, Some(evidence))
+    } else {
+        let (golden, store) =
+            golden_run_checkpointed(machine, program, instr_budget, checkpoint_interval);
+        (golden, store, None)
+    }
 }
 
 /// How one worker obtained the job's checkpoint store at `open`.
@@ -564,32 +599,21 @@ impl CampaignBackend for LocalBackend {
                         "delegated golden run needs a positive checkpoint interval".to_owned(),
                     ));
                 }
-                let (golden, store) = if spec.prune {
-                    // The instrumented golden pass captures ACE evidence
-                    // for the site classifier while producing the exact
-                    // same checkpoint stream.
-                    let (golden, store, evidence) = golden_run_with_evidence(
-                        &spec.machine,
-                        &spec.program,
-                        spec.instr_budget,
-                        checkpoint_interval,
-                        PRUNE_WINDOW,
-                    );
-                    prune = Some(Arc::new(PruneMap::build(
+                let (golden, store, evidence) = golden_pass(
+                    &spec.machine,
+                    &spec.program,
+                    spec.instr_budget,
+                    checkpoint_interval,
+                    spec.prune,
+                );
+                prune = evidence.map(|evidence| {
+                    Arc::new(PruneMap::build(
                         &spec.machine,
                         &spec.program,
                         spec.fault_model,
                         &evidence,
-                    )));
-                    (golden, store)
-                } else {
-                    golden_run_checkpointed(
-                        &spec.machine,
-                        &spec.program,
-                        spec.instr_budget,
-                        checkpoint_interval,
-                    )
-                };
+                    ))
+                });
                 (
                     Arc::new(store),
                     None,

@@ -23,13 +23,11 @@ use std::time::Instant;
 
 use avf_isa::Program;
 use avf_prune::{PruneMap, PruneMode};
-use avf_sim::{
-    golden_run_checkpointed, golden_run_with_evidence, simulate, MachineConfig, PRUNE_WINDOW,
-};
+use avf_sim::{simulate, MachineConfig};
 
 use crate::adaptive::allocate_batch;
 use crate::backend::{
-    cycle_budget_of, BackendError, CampaignBackend, GoldenSpec, JobSpec, LocalBackend,
+    cycle_budget_of, golden_pass, BackendError, CampaignBackend, GoldenSpec, JobSpec, LocalBackend,
 };
 use crate::plan::SamplingPlan;
 use crate::report::{ace_avf_of, BatchProgress, CampaignReport, StopReason, TargetReport};
@@ -187,29 +185,21 @@ impl<'a> Campaign<'a> {
                 checkpoint_interval: self.config.effective_checkpoint_interval(),
             },
             GoldenMode::Driver => {
-                let (golden, store) = if prune_requested {
-                    let (golden, store, evidence) = golden_run_with_evidence(
-                        self.machine,
-                        self.program,
-                        self.config.instr_budget,
-                        self.config.effective_checkpoint_interval(),
-                        PRUNE_WINDOW,
-                    );
-                    driver_map = Some(Arc::new(PruneMap::build(
+                let (golden, store, evidence) = golden_pass(
+                    self.machine,
+                    self.program,
+                    self.config.instr_budget,
+                    self.config.effective_checkpoint_interval(),
+                    prune_requested,
+                );
+                driver_map = evidence.map(|evidence| {
+                    Arc::new(PruneMap::build(
                         self.machine,
                         self.program,
                         self.config.fault_model,
                         &evidence,
-                    )));
-                    (golden, store)
-                } else {
-                    golden_run_checkpointed(
-                        self.machine,
-                        self.program,
-                        self.config.instr_budget,
-                        self.config.effective_checkpoint_interval(),
-                    )
-                };
+                    ))
+                });
                 GoldenSpec::Shipped {
                     store: Arc::new(store),
                     decoded: None,

@@ -75,9 +75,9 @@ mod report;
 mod stats;
 
 pub use backend::{
-    classify_trial, cycle_budget_of, decode_trial_batch, encode_trial_batch, shard_trials,
-    BackendError, CampaignBackend, CampaignSession, DispatchRecord, GoldenSpec, JobSpec,
-    LocalBackend, OpenedJob, StoreSource, TrialEvent, TrialStream, WorkerProvision,
+    classify_trial, cycle_budget_of, decode_trial_batch, encode_trial_batch, golden_pass,
+    shard_trials, BackendError, CampaignBackend, CampaignSession, DispatchRecord, GoldenSpec,
+    JobSpec, LocalBackend, OpenedJob, StoreSource, TrialEvent, TrialStream, WorkerProvision,
 };
 pub use campaign::{Campaign, CampaignConfig, GoldenMode};
 pub use plan::{SamplingPlan, Trial, AUDIT_BATCH};

@@ -1,31 +1,163 @@
-//! Bounded worker-side checkpoint-store cache.
+//! Bounded worker-side caches: one LRU, two instances.
 //!
-//! Re-shipping a multi-megabyte [`CheckpointStore`] to every worker on
-//! every campaign is the single biggest waste on a real network: the
-//! store is a pure function of `(machine, program, instruction budget,
-//! checkpoint interval)`, and a validation sweep re-runs the same four
-//! programs per invocation. The service therefore keys every job by a
-//! 64-bit content hash ([`avf_isa::wire::content_hash64`]) and a worker
-//! answers the `JOB_SETUP` handshake with `HAVE` (skip the bytes / the
-//! golden re-run entirely) or `NEED`.
+//! * [`StoreCache`] holds campaign checkpoint stores. Re-shipping a
+//!   multi-megabyte [`CheckpointStore`] to every worker on every
+//!   campaign is the single biggest waste on a real network: the store
+//!   is a pure function of `(machine, program, instruction budget,
+//!   checkpoint interval)`, and a validation sweep re-runs the same
+//!   four programs per invocation. So every job is keyed by a 64-bit
+//!   content hash ([`avf_isa::wire::content_hash64`]) and a worker
+//!   answers the `JOB_SETUP` handshake with `HAVE` (skip the bytes /
+//!   the golden re-run entirely) or `NEED`.
+//! * [`EvalCache`] holds GA fitness scores keyed by `(context
+//!   fingerprint, genome bits)`: elites re-scored across generations
+//!   hit here instead of paying a simulation.
 //!
-//! The cache is bounded both by entry count and by total serialized
-//! bytes, evicting least-recently-used entries first, so a long-lived
-//! `serve` process cannot grow without limit no matter how many
-//! distinct campaigns pass through it. One cache is shared by every
-//! connection of a server (`Arc` + mutex — entries hold `Arc`s, so a
-//! hit never copies blob bytes under the lock).
+//! Both are instances of the one generic `Lru`, bounded by entry count and
+//! by total weight (store bytes, or one per score) and evicting
+//! least-recently-used entries first, so a long-lived `serve` process
+//! cannot grow without limit. One instance of each is shared by every
+//! connection of a server (`Arc` + mutex — store entries hold `Arc`s,
+//! so a hit never copies blob bytes under the lock).
 
 use std::collections::HashMap;
+use std::fmt;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
 use avf_sim::{CheckpointStore, DecodedCheckpoints, GoldenRun, PruneEvidence};
 
-/// Default entry bound of a server's cache.
+/// Default entry bound of a server's checkpoint-store cache.
 pub const DEFAULT_CACHE_ENTRIES: usize = 16;
 
-/// Default byte bound of a server's cache (serialized store bytes).
+/// Default byte bound of a server's checkpoint-store cache
+/// ([`CacheEntry::footprint`] bytes).
 pub const DEFAULT_CACHE_BYTES: usize = 512 << 20;
+
+/// Default capacity of a worker's genome score cache.
+pub const DEFAULT_EVAL_CACHE_ENTRIES: usize = 4096;
+
+/// Cache observability counters (monotonic over the cache's lifetime).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups that found a live entry.
+    pub hits: u64,
+    /// Lookups that missed.
+    pub misses: u64,
+    /// Entries evicted to respect the bounds.
+    pub evictions: u64,
+    /// Entries currently held.
+    pub entries: usize,
+    /// Weight currently charged against the bound: bytes
+    /// ([`CacheEntry::footprint`]) for a [`StoreCache`], entries for an
+    /// [`EvalCache`].
+    pub bytes: usize,
+}
+
+struct LruState<K, V> {
+    /// `key -> (value, recency stamp)`.
+    map: HashMap<K, (V, u64)>,
+    /// Monotonic use counter backing the LRU order.
+    clock: u64,
+    /// Counters; `bytes` is the charged weight, `entries` is read off
+    /// the map.
+    stats: CacheStats,
+}
+
+/// A bounded, thread-safe LRU: at most `max_entries` entries (clamped
+/// to at least one) and at most `max_weight` total weight, where
+/// `weigh` charges each value. The newest entry is always admitted,
+/// alone if it alone outweighs the bound — the caller already paid to
+/// produce it, so refusing would only force an immediate recompute.
+pub(crate) struct Lru<K, V> {
+    state: Mutex<LruState<K, V>>,
+    max_entries: usize,
+    max_weight: usize,
+    weigh: fn(&V) -> usize,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
+    /// An empty LRU under the given bounds.
+    #[must_use]
+    pub fn new(max_entries: usize, max_weight: usize, weigh: fn(&V) -> usize) -> Lru<K, V> {
+        Lru {
+            state: Mutex::new(LruState {
+                map: HashMap::new(),
+                clock: 0,
+                stats: CacheStats::default(),
+            }),
+            max_entries: max_entries.max(1),
+            max_weight,
+            weigh,
+        }
+    }
+
+    /// Looks `key` up. A resident value that `accept` approves is a hit:
+    /// its recency is refreshed and a clone handed back. Anything else
+    /// — absent, or rejected by `accept` — counts as a miss.
+    pub fn get(&self, key: &K, accept: impl FnOnce(&V) -> bool) -> Option<V> {
+        let mut state = self.state.lock().expect("cache lock");
+        state.clock += 1;
+        let clock = state.clock;
+        let hit = match state.map.get_mut(key) {
+            Some((value, stamp)) if accept(value) => {
+                *stamp = clock;
+                Some(value.clone())
+            }
+            _ => None,
+        };
+        match hit {
+            Some(_) => state.stats.hits += 1,
+            None => state.stats.misses += 1,
+        }
+        hit
+    }
+
+    /// Inserts (or replaces) `key`, then evicts least-recently-used
+    /// entries until both bounds hold. A replaced value's weight is
+    /// released first, so re-inserting a key never double-charges it.
+    pub fn insert(&self, key: K, value: V) {
+        let mut state = self.state.lock().expect("cache lock");
+        state.clock += 1;
+        let clock = state.clock;
+        state.stats.bytes += (self.weigh)(&value);
+        if let Some((old, _)) = state.map.insert(key, (value, clock)) {
+            state.stats.bytes -= (self.weigh)(&old);
+        }
+        // The new entry holds the newest stamp, so while another entry
+        // remains it is never the victim.
+        while state.map.len() > self.max_entries
+            || (state.stats.bytes > self.max_weight && state.map.len() > 1)
+        {
+            let victim = state
+                .map
+                .iter()
+                .min_by_key(|(_, (_, stamp))| *stamp)
+                .map(|(k, _)| k.clone())
+                .expect("non-empty map");
+            let (evicted, _) = state.map.remove(&victim).expect("victim present");
+            state.stats.bytes -= (self.weigh)(&evicted);
+            state.stats.evictions += 1;
+        }
+    }
+
+    /// Current counters.
+    #[must_use]
+    pub fn stats(&self) -> CacheStats {
+        let state = self.state.lock().expect("cache lock");
+        CacheStats {
+            entries: state.map.len(),
+            ..state.stats
+        }
+    }
+}
+
+/// A cache debug-prints as its counters.
+impl<K: Eq + Hash + Clone, V: Clone> fmt::Debug for Lru<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.stats().fmt(f)
+    }
+}
 
 /// One cached job setup: the checkpoint store, the golden run it was
 /// captured from, and the *decoded* snapshots — so a cache hit pays
@@ -69,60 +201,17 @@ impl CacheEntry {
     }
 }
 
-/// Cache observability counters (monotonic over the cache's lifetime).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found a live entry.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Entries evicted to respect the bounds.
-    pub evictions: u64,
-    /// Entries currently held.
-    pub entries: usize,
-    /// Bytes currently charged against the bound
-    /// ([`CacheEntry::footprint`]: serialized store plus the
-    /// decoded-snapshot estimate).
-    pub bytes: usize,
-}
-
-struct Inner {
-    /// `hash -> (entry, recency stamp)`.
-    map: HashMap<u64, (CacheEntry, u64)>,
-    /// Monotonic use counter backing the LRU order.
-    clock: u64,
-    bytes: usize,
-    max_entries: usize,
-    max_bytes: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-/// A bounded LRU of checkpoint stores keyed by content hash, shared by
-/// every connection of one server.
-pub struct StoreCache {
-    inner: Mutex<Inner>,
-}
+/// The bounded LRU of checkpoint stores keyed by content hash, shared
+/// by every connection of one server.
+#[derive(Debug)]
+pub struct StoreCache(Lru<u64, CacheEntry>);
 
 impl StoreCache {
     /// A cache bounded by `max_entries` entries and `max_bytes` total
-    /// serialized store bytes (both clamped to at least one entry's
-    /// worth so a cache can never refuse everything).
+    /// [`CacheEntry::footprint`] bytes.
     #[must_use]
     pub fn new(max_entries: usize, max_bytes: usize) -> StoreCache {
-        StoreCache {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                clock: 0,
-                bytes: 0,
-                max_entries: max_entries.max(1),
-                max_bytes,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
-        }
+        StoreCache(Lru::new(max_entries, max_bytes, CacheEntry::footprint))
     }
 
     /// A default-bounded cache behind the `Arc` the server clones per
@@ -132,72 +221,60 @@ impl StoreCache {
         Arc::new(StoreCache::new(DEFAULT_CACHE_ENTRIES, DEFAULT_CACHE_BYTES))
     }
 
-    /// Looks `hash` up, refreshing its recency. Counts a hit or miss.
-    /// An entry whose geometry fingerprint disagrees with `geometry`
-    /// (a key collision across machine/program pairs) is a miss: its
-    /// decoded snapshots must not be served to this job.
+    /// Looks `hash` up. An entry whose geometry fingerprint disagrees
+    /// with `geometry` (a key collision across machine/program pairs)
+    /// is a miss: its decoded snapshots must not be served to this job.
     #[must_use]
     pub fn get(&self, hash: u64, geometry: u64) -> Option<CacheEntry> {
-        let mut inner = self.inner.lock().expect("cache lock");
-        inner.clock += 1;
-        let clock = inner.clock;
-        match inner.map.get_mut(&hash) {
-            Some((entry, stamp)) if entry.geometry == geometry => {
-                *stamp = clock;
-                let entry = entry.clone();
-                inner.hits += 1;
-                Some(entry)
-            }
-            _ => {
-                inner.misses += 1;
-                None
-            }
-        }
+        self.0.get(&hash, |entry| entry.geometry == geometry)
     }
 
-    /// Inserts (or refreshes) `hash`, evicting least-recently-used
-    /// entries until both bounds hold. An entry larger than the byte
-    /// bound is still admitted alone — the handshake already paid for
-    /// it, so refusing would only force an immediate re-ship.
+    /// Inserts (or refreshes) `hash`; an entry larger than the byte
+    /// bound is still admitted alone.
     pub fn insert(&self, hash: u64, entry: CacheEntry) {
-        let mut inner = self.inner.lock().expect("cache lock");
-        inner.clock += 1;
-        let clock = inner.clock;
-        let size = entry.footprint();
-        if let Some((old, _)) = inner.map.remove(&hash) {
-            inner.bytes -= old.footprint();
-        }
-        inner.map.insert(hash, (entry, clock));
-        inner.bytes += size;
-        while inner.map.len() > inner.max_entries
-            || (inner.bytes > inner.max_bytes && inner.map.len() > 1)
-        {
-            let lru = inner
-                .map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(&h, _)| h)
-                .expect("non-empty map");
-            if lru == hash && inner.map.len() == 1 {
-                break;
-            }
-            let (evicted, _) = inner.map.remove(&lru).expect("lru key present");
-            inner.bytes -= evicted.footprint();
-            inner.evictions += 1;
-        }
+        self.0.insert(hash, entry);
     }
 
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("cache lock");
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            entries: inner.map.len(),
-            bytes: inner.bytes,
-        }
+        self.0.stats()
+    }
+}
+
+/// The bounded LRU of `(context fingerprint, genome bits) → score`
+/// shared by every evaluation session of one server — the fitness
+/// analogue of [`StoreCache`].
+#[derive(Debug)]
+pub struct EvalCache(Lru<(u64, Vec<u64>), f64>);
+
+impl EvalCache {
+    /// A cache bounded to `max_entries` scores (at least one).
+    #[must_use]
+    pub fn with_capacity(max_entries: usize) -> EvalCache {
+        EvalCache(Lru::new(max_entries, usize::MAX, |_| 1))
+    }
+
+    /// A shareable cache at the default capacity.
+    #[must_use]
+    pub fn shared() -> Arc<EvalCache> {
+        Arc::new(EvalCache::with_capacity(DEFAULT_EVAL_CACHE_ENTRIES))
+    }
+
+    /// Looks a score up, bumping its recency on a hit.
+    pub fn lookup(&self, ctx: u64, bits: &[u64]) -> Option<f64> {
+        self.0.get(&(ctx, bits.to_vec()), |_| true)
+    }
+
+    /// Inserts a freshly computed score.
+    pub fn insert(&self, ctx: u64, bits: Vec<u64>, score: f64) {
+        self.0.insert((ctx, bits), score);
+    }
+
+    /// Current counters.
+    #[must_use]
+    pub fn stats(&self) -> CacheStats {
+        self.0.stats()
     }
 }
 
@@ -312,5 +389,16 @@ mod tests {
             geometry_fingerprint(&base, &p1),
             geometry_fingerprint(&base, &p2)
         );
+    }
+
+    #[test]
+    fn zero_capacity_clamps_to_one_entry() {
+        let cache = EvalCache::with_capacity(0);
+        cache.insert(1, vec![1], 1.0);
+        assert_eq!(cache.lookup(1, &[1]), Some(1.0), "the newest entry is held");
+        cache.insert(1, vec![2], 2.0);
+        assert_eq!(cache.lookup(1, &[1]), None);
+        assert_eq!(cache.stats().entries, 1);
+        assert_eq!(cache.stats().evictions, 1);
     }
 }

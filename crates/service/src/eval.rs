@@ -16,7 +16,9 @@
 //! enums — `EVAL_BATCH` is [`ClientMessage::Eval`], `EVAL_RESULT` is
 //! [`ServerMessage::Score`], and the marker and errors are the shared
 //! `Done`/`Error` — so a worker tells the two session kinds apart by
-//! the variant its opening frame decodes to.
+//! the variant its opening frame decodes to, and serves both in the
+//! one session loop behind [`crate::serve`]; this module supplies the
+//! genome kind's scoring step.
 //!
 //! The batch ships **knobs, not programs**: each individual is a genome,
 //! and the worker materializes the candidate itself (`Knobs::from_genome`
@@ -24,6 +26,9 @@
 //! frame a few kilobytes regardless of candidate size, and it lets the
 //! worker memoize by genome: elite individuals re-scored across
 //! generations are [`EvalCache`] hits, not simulations.
+//!
+//! [`ClientMessage::Eval`]: crate::protocol::ClientMessage::Eval
+//! [`ServerMessage::Score`]: crate::protocol::ServerMessage::Score
 //!
 //! Driver-side, genome batches are one of the two job kinds of the
 //! supervised [`Fleet`] (see [`crate::fleet`]): genome-keyed affinity
@@ -38,24 +43,20 @@
 //! across local, remote, and brokered venues regardless of worker
 //! deaths or cache evictions.
 
-use std::collections::{HashMap, HashSet};
-use std::io::BufReader;
-use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use std::collections::HashSet;
+use std::sync::mpsc;
 
 use avf_ace::{FaultRates, Fitness, FitnessScope, Structure};
 use avf_codegen::{generate, Knobs, TargetParams};
-use avf_ga::{genome_bits, EvalError, FitnessEvaluator};
+use avf_ga::{genome_bits, EvalError, FitnessEvaluator, LocalEvaluator};
 use avf_inject::BackendError;
 use avf_isa::wire::{content_hash64, kind, WireError, WireReader, WireWriter};
 use avf_sim::{simulate, MachineConfig};
 
-use crate::auth::{read_frame_verified, AuthKey, AuthVerifier};
+use crate::auth::AuthKey;
+use crate::cache::EvalCache;
 use crate::fleet::{Fleet, GenomeBatches};
-use crate::frame::FrameBatcher;
-use crate::protocol::{ClientMessage, ServerMessage, HASH_DOMAIN_EVAL};
-use crate::server::ServeOptions;
+use crate::protocol::HASH_DOMAIN_EVAL;
 
 /// Derives code-generator target parameters from a machine configuration.
 ///
@@ -276,231 +277,53 @@ pub fn evaluate_genome(ctx: &EvalContext, genes: &[f64]) -> f64 {
     ctx.fitness.score(&result.report)
 }
 
-/// Default capacity of a worker's genome score cache.
-pub const DEFAULT_EVAL_CACHE_ENTRIES: usize = 4096;
-
-#[derive(Debug, Default)]
-struct EvalCacheInner {
-    map: HashMap<(u64, Vec<u64>), (f64, u64)>,
-    clock: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-/// Counters of an [`EvalCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalCacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that required a simulation.
-    pub misses: u64,
-    /// Entries evicted to stay within capacity.
-    pub evictions: u64,
-    /// Current resident entries.
-    pub entries: usize,
-}
-
-/// A bounded, thread-safe LRU of `(context fingerprint, genome bits) →
-/// score` — the evaluation analogue of the campaign checkpoint
-/// [`crate::StoreCache`]. Elite genomes re-scored across generations
-/// (and across searches sharing a worker) hit here instead of paying a
-/// simulation.
-#[derive(Debug, Default)]
-pub struct EvalCache {
-    inner: Mutex<EvalCacheInner>,
-    max_entries: usize,
-}
-
-impl EvalCache {
-    /// A cache bounded to `max_entries` scores (0 disables caching).
-    #[must_use]
-    pub fn with_capacity(max_entries: usize) -> EvalCache {
-        EvalCache {
-            inner: Mutex::new(EvalCacheInner::default()),
-            max_entries,
-        }
-    }
-
-    /// A shareable cache at the default capacity.
-    #[must_use]
-    pub fn shared() -> Arc<EvalCache> {
-        Arc::new(EvalCache::with_capacity(DEFAULT_EVAL_CACHE_ENTRIES))
-    }
-
-    /// Looks a score up, bumping its recency on a hit.
-    pub fn lookup(&self, ctx: u64, bits: &[u64]) -> Option<f64> {
-        let mut inner = self.inner.lock().expect("eval cache poisoned");
-        inner.clock += 1;
-        let stamp = inner.clock;
-        let hit = inner.map.get_mut(&(ctx, bits.to_vec())).map(|slot| {
-            slot.1 = stamp;
-            slot.0
-        });
-        match hit {
-            Some(score) => {
-                inner.hits += 1;
-                Some(score)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts a freshly computed score, evicting the least recently
-    /// used entry if the cache is full.
-    pub fn insert(&self, ctx: u64, bits: Vec<u64>, score: f64) {
-        if self.max_entries == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("eval cache poisoned");
-        inner.clock += 1;
-        let stamp = inner.clock;
-        if inner.map.len() >= self.max_entries && !inner.map.contains_key(&(ctx, bits.clone())) {
-            if let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&victim);
-                inner.evictions += 1;
-            }
-        }
-        inner.map.insert((ctx, bits), (score, stamp));
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> EvalCacheStats {
-        let inner = self.inner.lock().expect("eval cache poisoned");
-        EvalCacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            entries: inner.map.len(),
-        }
-    }
-}
-
-fn score_parallel(
-    ctx: &EvalContext,
-    genomes: &[(u64, Vec<f64>, Vec<u64>)],
-    threads: usize,
-) -> Vec<f64> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    };
-    let threads = threads.clamp(1, genomes.len().max(1));
-    let mut scores = vec![0.0; genomes.len()];
-    if threads <= 1 {
-        for (slot, (_, genes, _)) in scores.iter_mut().zip(genomes) {
-            *slot = evaluate_genome(ctx, genes);
-        }
-        return scores;
-    }
-    let chunk = genomes.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (in_chunk, out_chunk) in genomes.chunks(chunk).zip(scores.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (slot, (_, genes, _)) in out_chunk.iter_mut().zip(in_chunk) {
-                    *slot = evaluate_genome(ctx, genes);
-                }
-            });
-        }
-    });
-    scores
-}
-
-/// Drives one evaluation session over one connection (worker side).
-/// `first` is the already-decoded opening `EVAL_BATCH`.
-pub(crate) fn handle_eval_session(
-    stream: &TcpStream,
-    reader: &mut BufReader<&TcpStream>,
-    writer: &mut FrameBatcher<&TcpStream>,
-    first: EvalBatch,
-    opts: &ServeOptions,
-    verifier: Option<&AuthVerifier>,
-) -> Result<(), BackendError> {
-    let mut batch = first;
-    let mut served = 0u64;
-    loop {
-        let fingerprint = batch.context.fingerprint();
-        let mut results: Vec<EvalScore> = Vec::with_capacity(batch.individuals.len());
-        let mut misses: Vec<(u64, Vec<f64>, Vec<u64>)> = Vec::new();
-        for (index, genes) in &batch.individuals {
-            let bits = genome_bits(genes);
-            let key = genome_key(genes);
-            if let Some(score) = opts.eval_cache.lookup(fingerprint, &bits) {
-                eprintln!(
-                    "serve: eval gen {} genome {key:016x} fitness HIT (cache)",
-                    batch.generation
-                );
-                results.push(EvalScore {
-                    index: *index,
-                    score,
-                    cached: true,
-                });
-            } else {
-                eprintln!(
-                    "serve: eval gen {} genome {key:016x} fitness MISS (simulating)",
-                    batch.generation
-                );
-                misses.push((*index, genes.clone(), bits));
-            }
-        }
-        let scores = score_parallel(&batch.context, &misses, opts.threads);
-        for ((index, _, bits), score) in misses.into_iter().zip(scores) {
-            opts.eval_cache.insert(fingerprint, bits, score);
+/// Scores one genome batch on a worker: the [`EvalCache`] hits first,
+/// then the misses, inserted into the cache. The misses run on the
+/// in-process [`LocalEvaluator`] a local search uses, with `threads`
+/// workers. Returned in individual-index order.
+pub(crate) fn score_batch(batch: &EvalBatch, cache: &EvalCache, threads: usize) -> Vec<EvalScore> {
+    let fingerprint = batch.context.fingerprint();
+    let mut results = Vec::with_capacity(batch.individuals.len());
+    let (mut misses, mut genomes) = (Vec::new(), Vec::new());
+    for (index, genes) in &batch.individuals {
+        let bits = genome_bits(genes);
+        let key = genome_key(genes);
+        if let Some(score) = cache.lookup(fingerprint, &bits) {
+            eprintln!(
+                "serve: eval gen {} genome {key:016x} fitness HIT (cache)",
+                batch.generation
+            );
             results.push(EvalScore {
-                index,
+                index: *index,
                 score,
-                cached: false,
+                cached: true,
             });
+        } else {
+            eprintln!(
+                "serve: eval gen {} genome {key:016x} fitness MISS (simulating)",
+                batch.generation
+            );
+            misses.push((*index, bits));
+            genomes.push(genes.clone());
         }
-        results.sort_by_key(|s| s.index);
-
-        if opts.die_mid_batch == Some(served) {
-            // Injected fault: stream half the generation, then crash. No
-            // error frame, no DONE — the driver must observe this as a
-            // dead connection and re-dispatch the unacknowledged half.
-            for score in &results[..results.len() / 2] {
-                writer.push(&score.to_wire())?;
-            }
-            writer.flush()?;
-            eprintln!("serve: injected fault — aborting connection mid-generation {served}");
-            let _ = stream.shutdown(Shutdown::Both);
-            return Ok(());
-        }
-        for score in &results {
-            writer.push(&score.to_wire())?;
-        }
-        writer.push(
-            &ServerMessage::Done {
-                events: results.len() as u64,
-            }
-            .to_wire(),
-        )?;
-        writer.flush()?;
-        opts.stats.batches_served.fetch_add(1, Ordering::Relaxed);
-        opts.stats
-            .events_streamed
-            .fetch_add(results.len() as u64, Ordering::Relaxed);
-        served += 1;
-
-        let Some(next) = read_frame_verified(reader, verifier)? else {
-            return Ok(()); // clean end of search
-        };
-        let ClientMessage::Eval(next) = ClientMessage::from_wire(&next)? else {
-            return Err(BackendError::Protocol(
-                "expected an eval batch frame".to_owned(),
-            ));
-        };
-        batch = *next;
     }
+    let context = batch.context.clone();
+    let mut local = LocalEvaluator::new(threads.clamp(1, genomes.len().max(1)), move |genes| {
+        evaluate_genome(&context, genes)
+    });
+    let scores = local
+        .evaluate(&genomes)
+        .expect("in-process evaluation is infallible");
+    for ((index, bits), score) in misses.into_iter().zip(scores) {
+        cache.insert(fingerprint, bits, score);
+        results.push(EvalScore {
+            index,
+            score,
+            cached: false,
+        });
+    }
+    results.sort_by_key(|s| s.index);
+    results
 }
 
 /// Counts *distinct* genomes submitted for evaluation — the number a
@@ -510,23 +333,19 @@ pub(crate) fn handle_eval_session(
 #[derive(Debug, Default)]
 pub(crate) struct DistinctCounter {
     seen: HashSet<Vec<u64>>,
-    count: u64,
 }
 
 impl DistinctCounter {
     /// Records one generation.
     pub(crate) fn record(&mut self, generation: &[Vec<f64>]) {
-        for genes in generation {
-            if self.seen.insert(genome_bits(genes)) {
-                self.count += 1;
-            }
-        }
+        self.seen
+            .extend(generation.iter().map(|genes| genome_bits(genes)));
     }
 
     /// Distinct genomes recorded so far.
     #[must_use]
     pub(crate) fn count(&self) -> u64 {
-        self.count
+        self.seen.len() as u64
     }
 }
 
@@ -650,6 +469,7 @@ impl RemoteEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{ClientMessage, ServerMessage};
     use avf_isa::wire::WIRE_VERSION;
 
     fn context() -> EvalContext {

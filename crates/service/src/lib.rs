@@ -15,11 +15,14 @@
 //!   batches → streamed events), every payload wrapped in the
 //!   `avf_isa::wire` magic + version envelope so stale or foreign
 //!   peers fail typed;
-//! * [`cache`] — the bounded worker-side LRU of checkpoint stores
-//!   keyed by content hash, behind the `HAVE`/`NEED` handshake that
-//!   keeps identical stores from ever being re-shipped;
+//! * [`cache`] — the one bounded worker-side LRU, in two instances:
+//!   checkpoint stores keyed by content hash ([`StoreCache`], behind
+//!   the `HAVE`/`NEED` handshake that keeps identical stores from ever
+//!   being re-shipped) and GA fitness scores keyed by genome
+//!   ([`EvalCache`]);
 //! * [`serve`] / [`spawn_local`] — the long-running job server
-//!   (`avf-stressmark serve`), a thin wire adapter over the same
+//!   (`avf-stressmark serve`): one session loop serves trial batches
+//!   and genome batches alike, a thin wire adapter over the same
 //!   `LocalBackend` the in-process path uses — including worker-side
 //!   golden runs, so N workers warm a campaign up in parallel while
 //!   the driver simulates nothing;
@@ -39,9 +42,9 @@
 //!   unauthenticated frames with a typed error, closing the
 //!   trusted-peers gap recorded since PR 3;
 //! * [`metrics`] — a plaintext `GET /metrics` + `GET /healthz`
-//!   endpoint (workers expose their [`StoreCache`] and session
-//!   counters; the broker in `avf-broker` exposes queue depths and
-//!   worker liveness), scrapable with `curl`/`nc`.
+//!   endpoint (workers expose their session counters and the stats
+//!   of both caches; the broker in `avf-broker` exposes queue depths
+//!   and worker liveness), scrapable with `curl`/`nc`.
 //!
 //! Determinism is the design invariant: with a fixed seed, a campaign
 //! over `RemoteBackend` produces a [`CampaignReport`] identical to the
@@ -72,10 +75,10 @@ mod remote;
 mod server;
 
 pub use auth::{AuthKey, ConnectionAuth};
-pub use cache::{CacheStats, StoreCache};
+pub use cache::{CacheStats, EvalCache, StoreCache};
 pub use eval::{
-    evaluate_genome, genome_key, target_params, EvalBatch, EvalCache, EvalCacheStats, EvalContext,
-    EvalScore, EvalVenue, RemoteEvaluator, VenueEvaluator,
+    evaluate_genome, genome_key, target_params, EvalBatch, EvalContext, EvalScore, EvalVenue,
+    RemoteEvaluator, VenueEvaluator,
 };
 pub use fleet::Fleet;
 pub use metrics::{spawn_metrics, ServeStats};

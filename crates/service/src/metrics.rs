@@ -11,16 +11,23 @@
 //! The render callback is taken at spawn time and invoked per scrape,
 //! so counters are always read fresh; anything
 //! `Fn() -> String + Send + Sync` works (the serve and broker binaries
-//! pass closures over their live stat structs).
+//! pass closures over their live stat structs). A worker's page is
+//! [`ServeStats::render_with_eval`]: its session counters plus both
+//! instances of the one worker LRU, each rendered by the same helper
+//! (`avf_store_cache_*`, `avf_eval_cache_*`).
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Session/stream counters a `serve` worker exposes alongside its
-/// [`StoreCache`](crate::StoreCache) stats. All relaxed atomics: these
-/// are monotone operational counters, not synchronization.
+use crate::cache::{CacheStats, EvalCache, StoreCache};
+
+/// Session/stream counters a `serve` worker exposes alongside the
+/// stats of its two caches ([`StoreCache`] and [`EvalCache`]). All
+/// relaxed atomics: these are monotone operational counters, not
+/// synchronization.
 #[derive(Debug, Default)]
 pub struct ServeStats {
     /// Connections whose session handler completed cleanly.
@@ -29,12 +36,25 @@ pub struct ServeStats {
     ///
     /// [`BackendError`]: avf_inject::BackendError
     pub sessions_failed: AtomicU64,
-    /// Trial batches executed to completion.
+    /// Batches (trial or genome) served to completion.
     pub batches_served: AtomicU64,
-    /// Trial events streamed back to drivers.
+    /// Acks (trial events or genome scores) streamed back to drivers.
     pub events_streamed: AtomicU64,
     /// Frames rejected by keyed-hash authentication.
     pub auth_rejects: AtomicU64,
+}
+
+/// One cache's hit/miss/eviction/entry `/metrics` lines under `prefix`.
+fn cache_lines(out: &mut String, prefix: &str, c: &CacheStats) {
+    let entries = c.entries as u64;
+    for (name, value) in [
+        ("hits", c.hits),
+        ("misses", c.misses),
+        ("evictions", c.evictions),
+        ("entries", entries),
+    ] {
+        let _ = writeln!(out, "{prefix}_{name} {value}");
+    }
 }
 
 impl ServeStats {
@@ -44,33 +64,31 @@ impl ServeStats {
         Arc::new(ServeStats::default())
     }
 
-    /// Renders the worker's `/metrics` lines (cache + session
-    /// counters).
+    /// Renders the store-cache and session `/metrics` lines.
     #[must_use]
-    pub fn render(&self, cache: &crate::StoreCache) -> String {
-        let c = cache.stats();
-        format!(
-            "avf_store_cache_hits {}\n\
-             avf_store_cache_misses {}\n\
-             avf_store_cache_evictions {}\n\
-             avf_store_cache_entries {}\n\
-             avf_store_cache_bytes {}\n\
-             avf_serve_sessions_ok {}\n\
-             avf_serve_sessions_failed {}\n\
-             avf_serve_batches_served {}\n\
-             avf_serve_events_streamed {}\n\
-             avf_serve_auth_rejects {}\n",
-            c.hits,
-            c.misses,
-            c.evictions,
-            c.entries,
-            c.bytes,
-            self.sessions_ok.load(Ordering::Relaxed),
-            self.sessions_failed.load(Ordering::Relaxed),
-            self.batches_served.load(Ordering::Relaxed),
-            self.events_streamed.load(Ordering::Relaxed),
-            self.auth_rejects.load(Ordering::Relaxed),
-        )
+    pub fn render(&self, cache: &StoreCache) -> String {
+        let (mut out, stats) = (String::new(), cache.stats());
+        cache_lines(&mut out, "avf_store_cache", &stats);
+        let _ = writeln!(out, "avf_store_cache_bytes {}", stats.bytes);
+        for (name, counter) in [
+            ("sessions_ok", &self.sessions_ok),
+            ("sessions_failed", &self.sessions_failed),
+            ("batches_served", &self.batches_served),
+            ("events_streamed", &self.events_streamed),
+            ("auth_rejects", &self.auth_rejects),
+        ] {
+            let _ = writeln!(out, "avf_serve_{name} {}", counter.load(Ordering::Relaxed));
+        }
+        out
+    }
+
+    /// Renders a worker's whole `/metrics` page: [`ServeStats::render`]
+    /// followed by the genome score cache's lines.
+    #[must_use]
+    pub fn render_with_eval(&self, cache: &StoreCache, eval: &EvalCache) -> String {
+        let mut out = self.render(cache);
+        cache_lines(&mut out, "avf_eval_cache", &eval.stats());
+        out
     }
 }
 
@@ -153,5 +171,61 @@ mod tests {
         assert!(get(addr, "/metrics").contains("test_counter 42"));
         assert!(get(addr, "/healthz").contains("ok"));
         assert!(get(addr, "/nope").starts_with("HTTP/1.0 404"));
+    }
+
+    /// The value of `name` on a rendered `/metrics` page.
+    fn metric(page: &str, name: &str) -> u64 {
+        page.lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("{name} missing from:\n{page}"))
+    }
+
+    #[test]
+    fn worker_page_exports_the_eval_cache() {
+        use crate::{spawn_local, EvalContext, RemoteEvaluator, ServeOptions};
+        use avf_ace::{FaultRates, Fitness};
+        use avf_ga::{optimize, FitnessEvaluator, GaParams};
+
+        let opts = ServeOptions {
+            threads: 1,
+            ..ServeOptions::default()
+        };
+        let stats = Arc::clone(&opts.stats);
+        let cache = Arc::clone(&opts.cache);
+        let eval = Arc::clone(&opts.eval_cache);
+        let worker = spawn_local(opts).unwrap().to_string();
+        let context = EvalContext {
+            machine: avf_sim::MachineConfig::baseline(),
+            fitness: Fitness::overall(FaultRates::baseline()),
+            instr_budget: 4_000,
+        };
+        let mut remote = RemoteEvaluator::connect(&[worker], None, context).unwrap();
+        let params = GaParams {
+            population: 4,
+            generations: 4,
+            ..GaParams::quick()
+        };
+        optimize(avf_codegen::GENOME_LEN, &params, &mut remote).unwrap();
+
+        // Every lookup happens before its score is sent, so the worker's
+        // counters are settled once the search has its last generation.
+        let page = stats.render_with_eval(&cache, &eval);
+        let hits = metric(&page, "avf_eval_cache_hits");
+        let misses = metric(&page, "avf_eval_cache_misses");
+        assert!(hits > 0, "elites re-scored across generations must hit");
+        assert_eq!(hits, remote.cache_hits());
+        assert_ne!(hits, misses, "these sizes tell the two counters apart");
+        assert_eq!(metric(&page, "avf_eval_cache_evictions"), 0);
+        // One entry per distinct genome: the count the driver reports.
+        assert_eq!(
+            metric(&page, "avf_eval_cache_entries"),
+            remote.evaluations()
+        );
+        assert!(
+            !page.contains("avf_eval_cache_bytes"),
+            "unit weights are not bytes"
+        );
+        assert_eq!(metric(&page, "avf_store_cache_entries"), 0);
+        assert_eq!(metric(&page, "avf_serve_sessions_failed"), 0);
     }
 }

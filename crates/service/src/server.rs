@@ -1,23 +1,26 @@
-//! The long-running campaign job server.
+//! The long-running worker: one session loop for both job kinds.
 //!
 //! `avf-stressmark serve --listen <addr>` runs [`serve`]: an accept
-//! loop that gives every connection its own handler thread. A handler
-//! is a thin wire adapter over [`LocalBackend`] — it resolves the
-//! job's checkpoint store through the shared [`StoreCache`] (cache
-//! hit, shipped bytes, or its own golden run), opens a local session,
-//! then turns every trial-batch frame into a `submit` and streams the
-//! resulting trial events back as length-prefixed frames *as they
-//! complete* (coalesced through a [`FrameBatcher`] so a fast stream
-//! does not pay one syscall per 16-byte event). The server is
-//! venue-symmetric with in-process execution by construction: both
-//! sides of the socket run the exact same [`CampaignBackend`] code
-//! path.
+//! loop that gives every connection its own handler thread. The opening
+//! frame picks the session's kind. A `JOB_SETUP` opens a *trial*
+//! session: the handler resolves the job's checkpoint store through the
+//! shared [`StoreCache`] (cache hit, shipped bytes, or its own golden
+//! run), opens a [`LocalBackend`] session — the exact [`CampaignBackend`]
+//! code path in-process campaigns run — and answers `JOB_READY`. An
+//! `EVAL_BATCH` opens a *genome* session with that frame as its first
+//! batch (see [`crate::eval`]).
+//!
+//! One loop then serves both kinds: decode each batch frame once (a
+//! frame of the other kind is a typed protocol error), validate it, and
+//! stream its acks through a [`FrameBatcher`] — trial events *as they
+//! complete*, genome scores from the shared [`EvalCache`] plus a
+//! parallel pass over the misses — before the `BATCH_DONE` barrier.
 //!
 //! [`ServeOptions::die_mid_batch`] is deliberate fault injection for
-//! the resilience tests and the CI resilience job: the handler streams
-//! half of the designated batch's events, then drops the connection
-//! with no error frame — exactly what a worker crash looks like from
-//! the driver's side.
+//! the resilience tests and the CI resilience job: the loop streams
+//! half of the designated batch's acks, then drops the connection with
+//! no error frame — exactly what a worker crash looks like from the
+//! driver's side.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -25,14 +28,15 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use avf_inject::{
-    cycle_budget_of, BackendError, CampaignBackend, GoldenSpec, JobSpec, LocalBackend,
+    cycle_budget_of, golden_pass, BackendError, CampaignBackend, CampaignSession, GoldenSpec,
+    JobSpec, LocalBackend,
 };
 use avf_prune::PruneMap;
-use avf_sim::{golden_run_checkpointed, golden_run_with_evidence, PRUNE_WINDOW};
+use avf_sim::MachineConfig;
 
 use crate::auth::{read_frame_verified, write_frame_signed, AuthKey, AuthVerifier, ConnectionAuth};
-use crate::cache::{CacheEntry, StoreCache};
-use crate::eval::{handle_eval_session, EvalCache};
+use crate::cache::{CacheEntry, EvalCache, StoreCache};
+use crate::eval::score_batch;
 use crate::frame::FrameBatcher;
 use crate::metrics::ServeStats;
 use crate::protocol::{
@@ -40,14 +44,15 @@ use crate::protocol::{
 };
 
 /// Server tuning.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ServeOptions {
-    /// Worker threads per connection (0 = all available cores).
+    /// Worker threads per session, trial and genome sessions alike
+    /// (0 = all available cores, resolved once when [`serve`] starts).
     pub threads: usize,
     /// Fault injection for resilience testing: abort the connection
     /// midway through streaming batch `n` (0-based, counted per
-    /// connection) — half the batch's events go out, then the socket
-    /// dies with no error frame.
+    /// connection, either kind) — half the batch's acks go out, then
+    /// the socket dies with no error frame.
     pub die_mid_batch: Option<u64>,
     /// The checkpoint-store cache shared by every connection. A fresh
     /// default-bounded cache per `ServeOptions` unless the caller
@@ -79,18 +84,6 @@ impl Default for ServeOptions {
     }
 }
 
-impl std::fmt::Debug for ServeOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeOptions")
-            .field("threads", &self.threads)
-            .field("die_mid_batch", &self.die_mid_batch)
-            .field("cache", &self.cache.stats())
-            .field("auth", &self.auth.is_some())
-            .field("eval_cache", &self.eval_cache.stats())
-            .finish()
-    }
-}
-
 /// Runs the accept loop forever, spawning one handler thread per
 /// connection. Never returns except on listener failure.
 ///
@@ -98,6 +91,12 @@ impl std::fmt::Debug for ServeOptions {
 ///
 /// Returns the I/O error that broke the accept loop.
 pub fn serve(listener: TcpListener, opts: &ServeOptions) -> std::io::Result<()> {
+    // Resolve "all cores" once, with the count the local backend
+    // computes, so both session kinds run on the same thread count.
+    let opts = ServeOptions {
+        threads: LocalBackend::new(opts.threads).workers(),
+        ..opts.clone()
+    };
     for conn in listener.incoming() {
         let stream = conn?;
         let opts = opts.clone();
@@ -159,51 +158,49 @@ pub fn spawn_local(opts: ServeOptions) -> std::io::Result<std::net::SocketAddr> 
 /// this reads the `STORE_DATA` frame from `reader` and verifies its
 /// content hash against the one announced in setup.
 fn resolve_store(
-    setup: JobSetup,
+    setup: &JobSetup,
     reader: &mut BufReader<&TcpStream>,
     writer: &mut FrameBatcher<&TcpStream>,
     cache: &StoreCache,
     verifier: Option<&AuthVerifier>,
-) -> Result<(JobSetup, CacheEntry, u64), BackendError> {
+) -> Result<(CacheEntry, u64), BackendError> {
     let key = setup.cache_key();
     let geometry = geometry_fingerprint(&setup.machine, &setup.program);
-    // A pruning delegated job needs the golden pass's ACE evidence on
-    // top of the store (shipped-mode pruning is driver-side only).
-    let wants_evidence = setup.prune && matches!(setup.mode, SetupMode::Delegated { .. });
     if let Some(mut entry) = cache.get(key, geometry) {
         eprintln!("serve: job {key:016x} checkpoint store HAVE (cache hit)");
         writer.push(&ServerMessage::StoreHave { hash: key }.to_wire())?;
         writer.flush()?;
-        if wants_evidence && entry.evidence.is_none() {
-            // The cached store came from an uninstrumented pass: re-run
-            // instrumented to capture evidence, cross-check it resolved
-            // the identical reference, and refresh the entry so the
-            // next pruning session hits outright.
-            let SetupMode::Delegated {
-                checkpoint_interval,
-            } = setup.mode
-            else {
-                unreachable!("wants_evidence implies delegated mode");
-            };
-            eprintln!("serve: job {key:016x} regenerating prune evidence (instrumented pass)");
-            let (golden, _, evidence) = golden_run_with_evidence(
-                &setup.machine,
-                &setup.program,
-                setup.instr_budget,
-                checkpoint_interval,
-                PRUNE_WINDOW,
-            );
-            if golden != entry.golden {
-                return Err(BackendError::Protocol(format!(
-                    "instrumented golden pass diverged from the cached reference: \
-                     digest {:016x} vs {:016x}",
-                    golden.digest, entry.golden.digest
-                )));
+        // A pruning delegated job needs the golden pass's ACE evidence
+        // on top of the store (shipped-mode pruning is driver-side
+        // only). A store cached from an uninstrumented pass is re-run
+        // instrumented, cross-checked to resolve the identical
+        // reference, and refreshed so the next pruning session hits
+        // outright.
+        if let SetupMode::Delegated {
+            checkpoint_interval,
+        } = setup.mode
+        {
+            if setup.prune && entry.evidence.is_none() {
+                eprintln!("serve: job {key:016x} regenerating prune evidence (instrumented pass)");
+                let (golden, _, evidence) = golden_pass(
+                    &setup.machine,
+                    &setup.program,
+                    setup.instr_budget,
+                    checkpoint_interval,
+                    true,
+                );
+                if golden != entry.golden {
+                    return Err(BackendError::Protocol(format!(
+                        "instrumented golden pass diverged from the cached reference: \
+                         digest {:016x} vs {:016x}",
+                        golden.digest, entry.golden.digest
+                    )));
+                }
+                entry.evidence = evidence.map(Arc::new);
+                cache.insert(key, entry.clone());
             }
-            entry.evidence = Some(Arc::new(evidence));
-            cache.insert(key, entry.clone());
         }
-        return Ok((setup, entry, key));
+        return Ok((entry, key));
     }
     writer.push(&ServerMessage::StoreNeed { hash: key }.to_wire())?;
     writer.flush()?;
@@ -234,24 +231,14 @@ fn resolve_store(
             checkpoint_interval,
         } => {
             eprintln!("serve: job {key:016x} checkpoint store NEED (running golden pass)");
-            if setup.prune {
-                let (golden, store, evidence) = golden_run_with_evidence(
-                    &setup.machine,
-                    &setup.program,
-                    setup.instr_budget,
-                    checkpoint_interval,
-                    PRUNE_WINDOW,
-                );
-                (Arc::new(store), golden, Some(Arc::new(evidence)))
-            } else {
-                let (golden, store) = golden_run_checkpointed(
-                    &setup.machine,
-                    &setup.program,
-                    setup.instr_budget,
-                    checkpoint_interval,
-                );
-                (Arc::new(store), golden, None)
-            }
+            let (golden, store, evidence) = golden_pass(
+                &setup.machine,
+                &setup.program,
+                setup.instr_budget,
+                checkpoint_interval,
+                setup.prune,
+            );
+            (Arc::new(store), golden, evidence.map(Arc::new))
         }
     };
     // Decode once at insertion: every later campaign on this worker —
@@ -267,10 +254,125 @@ fn resolve_store(
         evidence,
     };
     cache.insert(key, entry.clone());
-    Ok((setup, entry, key))
+    Ok((entry, key))
 }
 
-/// Drives one campaign session over one connection.
+/// The kind-specific half of one worker session: which batch frames it
+/// accepts and how a batch becomes acks. Framing, the fault hook and
+/// the `BATCH_DONE` barrier are the one loop in [`handle_connection`].
+enum Session {
+    /// Campaign trial batches against one opened job on this machine.
+    Trials(Box<dyn CampaignSession>, Box<MachineConfig>),
+    /// GA genome batches, scored through the shared [`EvalCache`].
+    Genomes,
+}
+
+/// A batch's acks in streaming order.
+type Acks = Box<dyn Iterator<Item = Result<ServerMessage, BackendError>>>;
+
+impl Session {
+    /// Opens a trial session: resolves the job's store, opens a local
+    /// session on it, and answers `JOB_READY`.
+    fn trials(
+        setup: JobSetup,
+        reader: &mut BufReader<&TcpStream>,
+        writer: &mut FrameBatcher<&TcpStream>,
+        opts: &ServeOptions,
+        verifier: Option<&AuthVerifier>,
+    ) -> Result<Session, BackendError> {
+        let (entry, key) = resolve_store(&setup, reader, writer, &opts.cache, verifier)?;
+        let cycle_budget = match setup.mode {
+            SetupMode::Shipped { cycle_budget, .. } => cycle_budget,
+            SetupMode::Delegated { .. } => cycle_budget_of(entry.golden.cycles),
+        };
+        // A pruning delegated job ships the classifier's map back with
+        // JOB_READY: the driver never simulated the golden pass, so the
+        // worker's evidence is the only source. The map derives from
+        // the session's fault model; the cached evidence is
+        // model-independent.
+        let prune =
+            match (&setup.mode, entry.evidence.as_deref()) {
+                (SetupMode::Delegated { .. }, Some(evidence)) if setup.prune => Some(
+                    PruneMap::build(&setup.machine, &setup.program, setup.fault_model, evidence),
+                ),
+                _ => None,
+            };
+        let machine = setup.machine.clone();
+        let golden = entry.golden;
+        let opened = LocalBackend::new(opts.threads).open(JobSpec {
+            machine: setup.machine,
+            program: setup.program,
+            instr_budget: setup.instr_budget,
+            fault_model: setup.fault_model,
+            golden: GoldenSpec::Shipped {
+                store: entry.store,
+                decoded: Some(entry.decoded),
+                golden,
+                cycle_budget,
+            },
+            prune: false, // the store (and map) are already resolved here
+        })?;
+        writer.push(
+            &ServerMessage::Ready(JobReady {
+                store_hash: key,
+                golden,
+                checkpoints: opened.checkpoints as u64,
+                prune,
+            })
+            .to_wire(),
+        )?;
+        writer.flush()?;
+        Ok(Session::Trials(opened.session, Box::new(machine)))
+    }
+
+    /// Validates one decoded batch frame and returns its size and its
+    /// acks: trial events streamed as the local session yields them,
+    /// or genome scores (cache hits, then the misses scored on
+    /// `opts.threads` threads). A frame of the other kind is a typed
+    /// protocol error.
+    fn acks(
+        &mut self,
+        message: ClientMessage,
+        opts: &ServeOptions,
+    ) -> Result<(usize, Acks), BackendError> {
+        match (self, message) {
+            (Session::Trials(session, machine), ClientMessage::Batch(trials)) => {
+                // The simulator *asserts* entry/bit bounds, so an
+                // out-of-geometry trial smuggled over the wire must
+                // become an error frame, not a panicked worker thread.
+                let sizes = machine.structure_sizes();
+                if let Some(t) = trials.iter().find(|t| {
+                    t.entry >= t.target.entries(machine) || t.bit >= t.target.entry_bits(&sizes)
+                }) {
+                    return Err(BackendError::Protocol(format!(
+                        "trial {} ({} entry {} bit {}) lies outside the job's machine geometry",
+                        t.index, t.target, t.entry, t.bit
+                    )));
+                }
+                let events = session.submit(&trials)?;
+                Ok((
+                    trials.len(),
+                    Box::new(events.map(|e| e.map(ServerMessage::Event))),
+                ))
+            }
+            (Session::Genomes, ClientMessage::Eval(batch)) => {
+                let scores = score_batch(&batch, &opts.eval_cache, opts.threads);
+                let acks = scores.into_iter().map(|s| Ok(ServerMessage::Score(s)));
+                Ok((batch.individuals.len(), Box::new(acks)))
+            }
+            (Session::Trials(..), _) => Err(BackendError::Protocol(
+                "expected a trial batch frame".to_owned(),
+            )),
+            (Session::Genomes, _) => Err(BackendError::Protocol(
+                "expected an eval batch frame".to_owned(),
+            )),
+        }
+    }
+}
+
+/// Drives one worker session over one connection: the opening frame
+/// picks the kind, then one loop serves every batch until the client
+/// hangs up.
 fn handle_connection(
     stream: &TcpStream,
     opts: &ServeOptions,
@@ -281,112 +383,48 @@ fn handle_connection(
     let mut writer = FrameBatcher::new(stream).with_signer(auth.map(|a| Arc::clone(&a.signer)));
 
     // The session must open with a job setup frame — or, since wire
-    // v7, an EVAL_BATCH frame opening a fitness-evaluation session.
+    // v7, an EVAL_BATCH frame that is also the genome session's first
+    // batch.
     let Some(payload) = read_frame_verified(&mut reader, verifier)? else {
         return Ok(()); // connected and left; nothing to do
     };
-    let setup = match ClientMessage::from_wire(&payload)? {
-        ClientMessage::Setup(setup) => *setup,
-        ClientMessage::Eval(batch) => {
-            return handle_eval_session(stream, &mut reader, &mut writer, *batch, opts, verifier);
-        }
+    let (mut session, mut pending) = match ClientMessage::from_wire(&payload)? {
+        ClientMessage::Setup(setup) => (
+            Session::trials(*setup, &mut reader, &mut writer, opts, verifier)?,
+            None,
+        ),
+        first @ ClientMessage::Eval(_) => (Session::Genomes, Some(first)),
         _ => {
             return Err(BackendError::Protocol(
                 "session must open with a job setup frame".to_owned(),
             ))
         }
     };
-    let (setup, entry, key) =
-        resolve_store(setup, &mut reader, &mut writer, &opts.cache, verifier)?;
 
-    let cycle_budget = match setup.mode {
-        SetupMode::Shipped { cycle_budget, .. } => cycle_budget,
-        SetupMode::Delegated { .. } => cycle_budget_of(entry.golden.cycles),
-    };
-    // Keep the job's geometry for batch validation: the simulator
-    // *asserts* entry/bit bounds, so an out-of-geometry trial smuggled
-    // over the wire must be rejected here with an error frame, not
-    // allowed to panic a worker thread.
-    let machine = setup.machine.clone();
-    let sizes = machine.structure_sizes();
-    // A pruning delegated job ships the classifier's map back with
-    // JOB_READY: the driver never simulated the golden pass, so the
-    // worker's evidence is the only source. The map derives from the
-    // session's fault model; the cached evidence is model-independent.
-    let prune = match (&setup.mode, entry.evidence.as_deref()) {
-        (SetupMode::Delegated { .. }, Some(evidence)) if setup.prune => Some(PruneMap::build(
-            &machine,
-            &setup.program,
-            setup.fault_model,
-            evidence,
-        )),
-        _ => None,
-    };
-    let backend = LocalBackend::new(opts.threads);
-    let golden = entry.golden;
-    let opened = backend.open(JobSpec {
-        machine: setup.machine,
-        program: setup.program,
-        instr_budget: setup.instr_budget,
-        fault_model: setup.fault_model,
-        golden: GoldenSpec::Shipped {
-            store: entry.store,
-            decoded: Some(entry.decoded),
-            golden,
-            cycle_budget,
-        },
-        prune: false, // the store (and map) are already resolved here
-    })?;
-    writer.push(
-        &ServerMessage::Ready(JobReady {
-            store_hash: key,
-            golden,
-            checkpoints: opened.checkpoints as u64,
-            prune,
-        })
-        .to_wire(),
-    )?;
-    writer.flush()?;
-    let mut session = opened.session;
-
-    // Then any number of trial batches until the client hangs up.
     let mut served = 0u64;
-    while let Some(payload) = read_frame_verified(&mut reader, verifier)? {
-        let ClientMessage::Batch(trials) = ClientMessage::from_wire(&payload)? else {
-            return Err(BackendError::Protocol(
-                "expected a trial batch frame".to_owned(),
-            ));
+    loop {
+        let message = match pending.take() {
+            Some(first) => first,
+            None => match read_frame_verified(&mut reader, verifier)? {
+                Some(payload) => ClientMessage::from_wire(&payload)?,
+                None => return Ok(()), // the client hung up: clean end
+            },
         };
-        if let Some(t) = trials
-            .iter()
-            .find(|t| t.entry >= t.target.entries(&machine) || t.bit >= t.target.entry_bits(&sizes))
-        {
-            return Err(BackendError::Protocol(format!(
-                "trial {} ({} entry {} bit {}) lies outside the job's machine geometry",
-                t.index, t.target, t.entry, t.bit
-            )));
+        let (size, acks) = session.acks(message, opts)?;
+        // Injected fault: stream half the batch, then crash. No error
+        // frame, no DONE — the driver must observe this as a dead
+        // connection and re-dispatch the unacknowledged half.
+        let crash = opts.die_mid_batch == Some(served);
+        let mut events = 0u64;
+        for ack in acks.take(if crash { size / 2 } else { usize::MAX }) {
+            writer.push(&ack?.to_wire())?;
+            events += 1;
         }
-        if opts.die_mid_batch == Some(served) {
-            // Injected fault: stream half the batch, then crash. No
-            // error frame, no DONE — the driver must observe this as a
-            // dead connection and re-dispatch the unacknowledged half.
-            let half = (trials.len() / 2) as u64;
-            for (streamed, event) in session.submit(&trials)?.enumerate() {
-                if streamed as u64 >= half {
-                    break;
-                }
-                writer.push(&ServerMessage::Event(event?).to_wire())?;
-            }
+        if crash {
             writer.flush()?;
             eprintln!("serve: injected fault — aborting connection mid-batch {served}");
             let _ = stream.shutdown(Shutdown::Both);
             return Ok(());
-        }
-        let mut events = 0u64;
-        for event in session.submit(&trials)? {
-            let event = event?;
-            writer.push(&ServerMessage::Event(event).to_wire())?;
-            events += 1;
         }
         writer.push(&ServerMessage::Done { events }.to_wire())?;
         // The DONE marker is a protocol barrier: everything queued for
@@ -398,7 +436,6 @@ fn handle_connection(
             .fetch_add(events, Ordering::Relaxed);
         served += 1;
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -527,5 +564,91 @@ mod tests {
         drop(open_session(addr, 2_500));
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().entries, 2);
+    }
+
+    fn next_message(r: &mut BufReader<&TcpStream>) -> ServerMessage {
+        let frame = read_frame(r).unwrap().expect("a reply frame");
+        ServerMessage::from_wire(&frame).unwrap()
+    }
+
+    /// A one-individual genome batch on a short budget.
+    fn eval_batch() -> Vec<u8> {
+        use avf_ace::{FaultRates, Fitness};
+        crate::EvalBatch {
+            context: crate::EvalContext {
+                machine: MachineConfig::baseline(),
+                fitness: Fitness::overall(FaultRates::baseline()),
+                instr_budget: 2_000,
+            },
+            generation: 0,
+            individuals: vec![(0, vec![0.5; avf_codegen::GENOME_LEN])],
+        }
+        .to_wire()
+    }
+
+    /// Sends one genome batch on `stream` and checks its score and DONE.
+    fn eval_round(stream: &TcpStream) {
+        let mut w = BufWriter::new(stream);
+        write_frame(&mut w, &eval_batch()).unwrap();
+        w.flush().unwrap();
+        let mut r = BufReader::new(stream);
+        assert!(matches!(next_message(&mut r), ServerMessage::Score(_)));
+        assert_eq!(next_message(&mut r), ServerMessage::Done { events: 1 });
+    }
+
+    fn in_geometry_trial() -> Vec<u8> {
+        avf_inject::encode_trial_batch(&[avf_inject::Trial {
+            index: 0,
+            target: avf_sim::InjectionTarget::Rob,
+            cycle: 1,
+            entry: 0,
+            bit: 0,
+        }])
+    }
+
+    #[test]
+    fn eval_session_sent_a_trial_batch_gets_a_typed_error() {
+        let addr = spawn_local(ServeOptions {
+            threads: 1,
+            ..ServeOptions::default()
+        })
+        .unwrap();
+        let stream = TcpStream::connect(addr).unwrap();
+        eval_round(&stream);
+        let mut w = BufWriter::new(&stream);
+        write_frame(&mut w, &in_geometry_trial()).unwrap();
+        w.flush().unwrap();
+        match next_message(&mut BufReader::new(&stream)) {
+            ServerMessage::Error(msg) => assert!(msg.contains("expected an eval batch"), "{msg}"),
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+        // The worker survives: a fresh connection is served.
+        eval_round(&TcpStream::connect(addr).unwrap());
+    }
+
+    #[test]
+    fn trial_session_sent_an_eval_batch_gets_a_typed_error() {
+        let addr = spawn_local(ServeOptions {
+            threads: 1,
+            ..ServeOptions::default()
+        })
+        .unwrap();
+        let stream = open_session(addr, 2_000);
+        let mut w = BufWriter::new(&stream);
+        write_frame(&mut w, &eval_batch()).unwrap();
+        w.flush().unwrap();
+        match next_message(&mut BufReader::new(&stream)) {
+            ServerMessage::Error(msg) => assert!(msg.contains("expected a trial batch"), "{msg}"),
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+        // The worker survives: a fresh connection is served, and its
+        // trial batch still runs.
+        let stream = open_session(addr, 2_000);
+        let mut w = BufWriter::new(&stream);
+        write_frame(&mut w, &in_geometry_trial()).unwrap();
+        w.flush().unwrap();
+        let mut r = BufReader::new(&stream);
+        assert!(matches!(next_message(&mut r), ServerMessage::Event(_)));
+        assert_eq!(next_message(&mut r), ServerMessage::Done { events: 1 });
     }
 }
